@@ -78,6 +78,6 @@ class TestAgreement:
             ]
         ):
             out = validate_against_analytic(
-                scenario, clustering, n_samples=600, rng=11 + i
+                scenario, clustering, n_samples=600, seed=11 + i
             )
             assert out["restart_deviation"] <= 0.02, clustering.name

@@ -9,9 +9,9 @@ Three artifact files at the repo root, one record appended per run:
   world ranks) timed four ways: the generator cascade reference
   (``use_fast_collectives=False``), the fast-collective per-message run,
   the *wave-native* run (every steady-state p2p loop posted as
-  persistent-request waves, ``use_waves=True`` on the app config), and
-  the *kernelized* run (the wave loops compiled into whole-world
-  iteration kernels, ``use_kernels=True``) — asserting byte-identical
+  persistent-request waves, ``mode=ExecutionMode.WAVES`` on the app
+  config), and the *kernelized* run (the wave loops compiled into
+  whole-world iteration kernels, ``mode=ExecutionMode.KERNELS``) — asserting byte-identical
   traces and bit-identical per-rank clocks across all four, the ≥5×
   cascade floor, (against the last pre-wave record) the ≥1.3×
   wave-over-engine floor, and (against the last pre-kernel record) the
@@ -52,6 +52,7 @@ import json
 import os
 import subprocess
 import time
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -135,8 +136,7 @@ def time_montecarlo(scenario, strategies, n_samples: int, seed: int = 42):
     """Time scalar vs batched sampling; assert statistical equivalence.
 
     The batched path goes through the :class:`ReliabilityQuery` API
-    (``query_for`` + ``run_query``) — seed-for-seed identical to the old
-    ``montecarlo_scores(..., rng=seed)`` call it replaced.
+    (``query_for`` + ``run_query``).
     """
     per_strategy = []
     scalar_total = batched_total = 0.0
@@ -299,15 +299,16 @@ def _fig5_setup(
 
 
 def _run_traced(placement, programs, network, *, fast: bool):
+    from repro.simmpi.config import EngineConfig
     from repro.simmpi.engine import Engine
     from repro.simmpi.tracing import TraceRecorder
 
     tracer = TraceRecorder(placement.nranks, by_kind=True)
     engine = Engine(
         placement.nranks,
+        config=EngineConfig(use_fast_collectives=fast),
         network=network,
         tracer=tracer,
-        use_fast_collectives=fast,
     )
     # Earlier runs leave cyclic garbage (generator frames, request
     # graphs); collect it now so a GC pause triggered by the previous
@@ -379,15 +380,16 @@ def _split_workload(group_size: int, iterations: int):
 
 
 def _run_split(nranks: int, group_size: int, iterations: int, *, fast: bool):
+    from repro.simmpi.config import EngineConfig
     from repro.simmpi.engine import Engine
     from repro.simmpi.tracing import TraceRecorder
 
     tracer = TraceRecorder(nranks, by_kind=True)
     engine = Engine(
         nranks,
+        config=EngineConfig(use_fast_collectives=fast),
         network=_bench_network(),
         tracer=tracer,
-        use_fast_collectives=fast,
     )
     t0 = time.perf_counter()
     results = engine.run(_split_workload(group_size, iterations))
@@ -489,15 +491,16 @@ def _stencil_wave_program(grid, iterations: int):
 
 
 def _run_stencil(grid, program, *, batched: bool = True):
+    from repro.simmpi.config import EngineConfig
     from repro.simmpi.engine import Engine
     from repro.simmpi.tracing import TraceRecorder
 
     tracer = TraceRecorder(grid.nranks, by_kind=True)
     engine = Engine(
         grid.nranks,
+        config=EngineConfig(use_batched_p2p=batched),
         network=_bench_network(),
         tracer=tracer,
-        use_batched_p2p=batched,
     )
     t0 = time.perf_counter()
     engine.run(program)
@@ -1070,6 +1073,7 @@ def time_interleaving(
     wave-engine throughput, not the kernel rate.
     """
     from repro.fuzz import InterleavingSpec, sweep
+    from repro.simmpi.config import EngineConfig
     from repro.simmpi.engine import Engine
     from repro.simmpi.tracing import TraceRecorder
 
@@ -1082,10 +1086,9 @@ def time_interleaving(
     tracer = TraceRecorder(placement.nranks, by_kind=True)
     engine = Engine(
         placement.nranks,
+        config=EngineConfig(schedule_seed=None, schedule_trace=None),
         network=network,
         tracer=tracer,
-        schedule_seed=None,
-        schedule_trace=None,
     )
     engine.run(programs_explicit)
     _assert_traced_equal(
@@ -1245,8 +1248,7 @@ def time_service(
     Starts a private server, asserts every query of the standing mix —
     plus one streamed sweep — bit-equal to direct in-process calls
     (:func:`repro.service.loadgen.verify_equivalence`: service ==
-    ``run_query`` == the deprecated ``montecarlo_scores`` /
-    ``expected_waste`` paths), and only then records the concurrent load
+    ``run_query``), and only then records the concurrent load
     numbers. The equivalence pass doubles as the warm-up: it touches
     every table the load run needs, so the recorded rate is the warm,
     cache-hitting rate a long-lived server would serve at.
@@ -1404,7 +1406,7 @@ def _smoke_wave_apps() -> None:
     """
     from repro.apps.heat import HeatConfig, HeatSimulation
     from repro.apps.spectral import SpectralConfig, SpectralSimulation
-    from repro.apps.workload import ExecutionMode, with_mode
+    from repro.apps.workload import ExecutionMode
     from repro.simmpi.engine import Engine
     from repro.simmpi.tracing import TraceRecorder
 
@@ -1430,7 +1432,7 @@ def _smoke_wave_apps() -> None:
             nranks = 4
             tracer = TraceRecorder(nranks, by_kind=True)
             engine = Engine(nranks, network=_bench_network(), tracer=tracer)
-            engine.run(sim_cls(with_mode(cfg, mode)).make_program())
+            engine.run(sim_cls(replace(cfg, mode=mode)).make_program())
             runs[label] = (tracer, engine.rank_times())
         _assert_traced_equal(
             runs["permsg"], runs["wave"], f"{name} wave vs per-message"

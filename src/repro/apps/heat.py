@@ -19,7 +19,7 @@ from repro.apps.stencil import (
     halo_exchange,
     synthetic_halo_exchange,
 )
-from repro.apps.workload import ExecutionMode, resolve_execution
+from repro.apps.workload import ExecutionMode
 from repro.util.validation import check_in_range, check_positive
 
 
@@ -34,24 +34,13 @@ class HeatConfig:
     iterations: int = 100
     alpha: float = 0.2  # diffusion number dt*k/dx^2, stable for < 0.25
     synthetic: bool = False
-    # Execution mode (None resolves to ExecutionMode.KERNELS); the
-    # boolean pair below is the deprecated one-release shim, rewritten to
-    # concrete booleans by resolve_execution so existing readers work.
-    mode: ExecutionMode | None = None
-    use_waves: bool | None = None
-    use_kernels: bool | None = None
+    mode: ExecutionMode = ExecutionMode.KERNELS
     hot_spot_temp: float = 100.0
 
     def __post_init__(self) -> None:
         check_positive("iterations", self.iterations, strict=False)
         check_in_range("alpha", self.alpha, 0.0, 0.25)
         ProcessGrid(self.px, self.py, self.nx, self.ny)
-        mode, waves, kernels = resolve_execution(
-            self.mode, self.use_waves, self.use_kernels, owner="HeatConfig"
-        )
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "use_waves", waves)
-        object.__setattr__(self, "use_kernels", kernels)
 
     @property
     def grid(self) -> ProcessGrid:
@@ -97,7 +86,7 @@ class HeatSimulation:
 
     def step(self, comm, state: dict, *, kind: str = "halo"):
         """One parallel iteration (generator coroutine)."""
-        use_wave = self.cfg.use_waves and getattr(comm, "supports_waves", False)
+        use_wave = self.cfg.mode.use_waves and getattr(comm, "supports_waves", False)
         if self.cfg.synthetic:
             if use_wave:
                 wave = HaloWave.cached(comm, self.grid, nfields=1, kind=kind)
@@ -142,8 +131,7 @@ class HeatSimulation:
             if (
                 hook is None
                 and self.cfg.synthetic
-                and self.cfg.use_waves
-                and self.cfg.use_kernels
+                and self.cfg.mode.use_kernels
                 and getattr(comm, "supports_waves", False)
                 and state["iteration"] < niter
             ):

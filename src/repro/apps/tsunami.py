@@ -35,7 +35,7 @@ from repro.apps.stencil import (
     halo_exchange,
     synthetic_halo_exchange,
 )
-from repro.apps.workload import ExecutionMode, resolve_execution
+from repro.apps.workload import ExecutionMode
 from repro.util.validation import check_positive
 
 #: Gravitational acceleration used by the solver (m/s^2).
@@ -60,17 +60,10 @@ class TsunamiConfig:
     depth: float = 100.0  # resting water depth (m)
     dt: float | None = None  # None: 0.4 * CFL limit
     synthetic: bool = False
-    # How the steady-state loop drives the engine; the canonical knob.
-    # None resolves to ExecutionMode.KERNELS (waves + kernel loops) unless
-    # the deprecated boolean flags below say otherwise. Messages, traces
-    # and clocks are identical across modes; PER_MESSAGE pins the
-    # bit-exact isend/irecv/wait reference.
-    mode: ExecutionMode | None = None
-    # Deprecated flag pair (one release): resolved against ``mode`` by
-    # resolve_execution, which rewrites both to concrete booleans so
-    # existing ``cfg.use_waves`` readers keep working.
-    use_waves: bool | None = None
-    use_kernels: bool | None = None
+    # How the steady-state loop drives the engine (waves + kernel loops by
+    # default). Messages, traces and clocks are identical across modes;
+    # PER_MESSAGE pins the bit-exact isend/irecv/wait reference.
+    mode: ExecutionMode = ExecutionMode.KERNELS
     allreduce_every: int = 25
     # Initial condition: Gaussian hump (amplitude in m, width in cells).
     hump_amplitude: float = 2.0
@@ -83,12 +76,6 @@ class TsunamiConfig:
         check_positive("dx", self.dx)
         check_positive("depth", self.depth)
         ProcessGrid(self.px, self.py, self.nx, self.ny)  # validates divisibility
-        mode, waves, kernels = resolve_execution(
-            self.mode, self.use_waves, self.use_kernels, owner="TsunamiConfig"
-        )
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "use_waves", waves)
-        object.__setattr__(self, "use_kernels", kernels)
 
     @property
     def grid(self) -> ProcessGrid:
@@ -234,13 +221,13 @@ class TsunamiSimulation:
 
         Generator coroutine (``yield from`` it inside a rank program).
         Mutates ``state`` in place and bumps ``state['iteration']``.
-        With ``cfg.use_waves`` (and a communicator that supports them) the
-        halo travels as a compiled persistent wave — same messages, traces
-        and clocks as the per-message exchange, two engine yields per
-        iteration.
+        With ``cfg.mode.use_waves`` (and a communicator that supports them)
+        the halo travels as a compiled persistent wave — same messages,
+        traces and clocks as the per-message exchange, two engine yields
+        per iteration.
         """
         cfg = self.cfg
-        use_wave = cfg.use_waves and getattr(comm, "supports_waves", False)
+        use_wave = cfg.mode.use_waves and getattr(comm, "supports_waves", False)
         if cfg.synthetic:
             if use_wave:
                 wave = HaloWave.cached(comm, self.grid, nfields=3, kind=kind)
@@ -313,8 +300,7 @@ class TsunamiSimulation:
             if (
                 hook is None
                 and self.cfg.synthetic
-                and self.cfg.use_waves
-                and self.cfg.use_kernels
+                and self.cfg.mode.use_kernels
                 and getattr(comm, "supports_waves", False)
             ):
                 yield from self._kernel_program(comm, state, niter)

@@ -16,6 +16,26 @@ import argparse
 import sys
 
 
+def _int_at_least(minimum: int):
+    """argparse ``type=`` for an integer flag bounded below by ``minimum``,
+    so a bad count exits 2 with an error naming the flag."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {minimum}, got {value}"
+            )
+        return value
+
+    parse.__name__ = "int"  # argparse's "invalid int value" wording
+    return parse
+
+
+_COUNT = _int_at_least(1)
+_NON_NEGATIVE = _int_at_least(0)
+
+
 def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--iterations",
@@ -424,26 +444,26 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fig3", help="Fig. 3 — cluster-size study")
     _add_scenario_args(p)
     p.add_argument(
-        "--sizes", type=int, nargs="+",
+        "--sizes", type=_COUNT, nargs="+",
         default=[2, 4, 8, 16, 32, 64, 128, 256],
     )
     p.set_defaults(func=cmd_fig3)
 
     p = sub.add_parser("fig4a", help="Fig. 4a — reliability (128x8)")
-    p.add_argument("--sizes", type=int, nargs="+", default=[4, 8, 16])
+    p.add_argument("--sizes", type=_COUNT, nargs="+", default=[4, 8, 16])
     p.set_defaults(func=cmd_fig4a)
 
     p = sub.add_parser("fig4bc", help="Fig. 4b/4c — logging & restart (64x16)")
     _add_scenario_args(p)
-    p.add_argument("--sizes", type=int, nargs="+", default=[4, 8, 16, 32])
+    p.add_argument("--sizes", type=_COUNT, nargs="+", default=[4, 8, 16, 32])
     p.set_defaults(func=cmd_fig4bc)
 
     p = sub.add_parser("fig5", help="Fig. 5a/5b — traced heat maps")
-    p.add_argument("--nodes", type=int, default=16)
-    p.add_argument("--app-per-node", type=int, default=4)
-    p.add_argument("--iterations", type=int, default=24)
-    p.add_argument("--checkpoint-every", type=int, default=8)
-    p.add_argument("--max-size", type=int, default=64)
+    p.add_argument("--nodes", type=_COUNT, default=16)
+    p.add_argument("--app-per-node", type=_COUNT, default=4)
+    p.add_argument("--iterations", type=_NON_NEGATIVE, default=24)
+    p.add_argument("--checkpoint-every", type=_COUNT, default=8)
+    p.add_argument("--max-size", type=_COUNT, default=64)
     p.set_defaults(func=cmd_fig5)
 
     p = sub.add_parser("radar", help="Fig. 5c — normalized comparison")
@@ -456,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_scenario_args(p)
     p.add_argument(
-        "--samples", type=int, default=2000,
+        "--samples", type=_COUNT, default=2000,
         help="failure events sampled per strategy (default 2000)",
     )
     p.add_argument("--seed", type=int, default=2012)
@@ -482,12 +502,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="listen port (0 picks a free one; default 8642)",
     )
     p.add_argument(
-        "--workers", type=int, default=0,
+        "--workers", type=_NON_NEGATIVE, default=0,
         help="worker processes holding table-cache shards (0 = answer "
         "in-process; results are invariant to this knob)",
     )
     p.add_argument(
-        "--cache-mb", type=int, default=256,
+        "--cache-mb", type=_COUNT, default=256,
         help="table-cache byte budget per shard in MiB (default 256)",
     )
     p.add_argument(
@@ -507,28 +527,28 @@ def build_parser() -> argparse.ArgumentParser:
         help="workload to simulate (default fig5: the §V control traffic)",
     )
     p.add_argument(
-        "--shards", type=int, default=1,
+        "--shards", type=_COUNT, default=1,
         help="subworlds to partition the rank set into (default 1)",
     )
     p.add_argument(
-        "--workers", type=int, default=0,
+        "--workers", type=_NON_NEGATIVE, default=0,
         help="worker processes hosting the shards (0 = in-process; "
         "results are invariant to this knob)",
     )
-    p.add_argument("--iterations", type=int, default=24)
-    p.add_argument("--nodes", type=int, default=16, help="fig5: node count")
+    p.add_argument("--iterations", type=_NON_NEGATIVE, default=24)
+    p.add_argument("--nodes", type=_COUNT, default=16, help="fig5: node count")
     p.add_argument(
-        "--app-per-node", type=int, default=4,
+        "--app-per-node", type=_COUNT, default=4,
         help="fig5: application ranks per node",
     )
     p.add_argument(
-        "--checkpoint-every", type=int, default=8,
+        "--checkpoint-every", type=_COUNT, default=8,
         help="fig5: iterations between checkpoints",
     )
-    p.add_argument("--px", type=int, default=4, help="heat/tsunami: grid px")
-    p.add_argument("--py", type=int, default=4, help="heat/tsunami: grid py")
+    p.add_argument("--px", type=_COUNT, default=4, help="heat/tsunami: grid px")
+    p.add_argument("--py", type=_COUNT, default=4, help="heat/tsunami: grid py")
     p.add_argument(
-        "--nranks", type=int, default=8, help="spectral: world size"
+        "--nranks", type=_COUNT, default=8, help="spectral: world size"
     )
     p.add_argument(
         "--sparse", action="store_true",
@@ -552,7 +572,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seed", type=int, default=42)
     p.add_argument(
-        "--budget", type=int, default=200,
+        "--budget", type=_COUNT, default=200,
         help="scenarios to generate and execute (default 200)",
     )
     p.add_argument(
@@ -560,12 +580,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="restrict generation to these adversary actors",
     )
     p.add_argument(
-        "--workers", type=int, default=0,
+        "--workers", type=_NON_NEGATIVE, default=0,
         help="pool workers for execution (0 = in-process; the scenario "
         "stream is identical either way)",
     )
     p.add_argument(
-        "--shrink", type=int, default=4,
+        "--shrink", type=_NON_NEGATIVE, default=4,
         help="max disagreeing scenarios to shrink to minimal repros",
     )
     p.add_argument(
@@ -582,7 +602,7 @@ def build_parser() -> argparse.ArgumentParser:
         "and check its classification",
     )
     p.add_argument(
-        "--schedules", type=int, default=None, metavar="N",
+        "--schedules", type=_COUNT, default=None, metavar="N",
         help="instead of a campaign, sweep N seeded schedule "
         "interleavings of a fixed workload and report divergences",
     )
@@ -592,7 +612,7 @@ def build_parser() -> argparse.ArgumentParser:
         "traffic)",
     )
     p.add_argument(
-        "--seed-start", type=int, default=0,
+        "--seed-start", type=_NON_NEGATIVE, default=0,
         help="first schedule seed of the --schedules sweep (the sweep "
         "covers the contiguous range [seed-start, seed-start+N))",
     )

@@ -18,7 +18,6 @@ from repro.core.experiments import (
 from repro.core.montecarlo import (
     MonteCarloScores,
     analytic_restart_mixture,
-    montecarlo_scores,
     montecarlo_scores_scalar,
     validate_against_analytic,
 )
@@ -79,7 +78,6 @@ __all__ = [
     "experiment_montecarlo",
     "experiment_table1",
     "experiment_table2",
-    "montecarlo_scores",
     "montecarlo_scores_scalar",
     "paper_scenario",
     "query_for",

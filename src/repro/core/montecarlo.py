@@ -9,30 +9,31 @@ that guards the whole evaluation against model-implementation drift.
 
 Performance notes
 -----------------
-:func:`montecarlo_scores` is fully batched: the estimator draws every
-event kind, victim process, cascade length and run start in one set of
-NumPy calls (:meth:`MonteCarloEstimator.sample_events
+The production path is a ``metric="montecarlo"``
+:class:`~repro.core.query.ReliabilityQuery` answered by
+:func:`~repro.core.query.run_query`, which is fully batched: the
+estimator draws every event kind, victim process, cascade length and run
+start in one set of NumPy calls (:meth:`MonteCarloEstimator.sample_events
 <repro.failures.catastrophic.MonteCarloEstimator.sample_events>`), and
 scoring is pure array indexing into the precomputed per-(clustering,
 placement) lookup tables of :mod:`repro.core.tables` — restart fraction
 and catastrophic verdict of every possible contiguous node run are
 computed once and reused across samples, seeds and strategies. The
-per-event loop survives as :func:`montecarlo_scores_scalar`, the reference
-implementation the equivalence tests compare against; it is 10–100×
-slower. Profile with ``benchmarks/record_bench.py``, which times both
-paths and records samples/sec into ``BENCH_montecarlo.json``.
+per-event loop survives as :func:`montecarlo_scores_scalar`, the test
+oracle the equivalence tests compare against; it is 10–100× slower.
+Profile with ``benchmarks/record_bench.py``, which times both paths and
+records samples/sec into ``BENCH_montecarlo.json``.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.clustering.base import Clustering
+from repro.core.query import query_for, run_query
 from repro.core.scenario import Scenario
-from repro.core.tables import restart_tables
 from repro.failures.catastrophic import (
     CatastrophicModel,
     MonteCarloEstimator,
@@ -95,75 +96,6 @@ def analytic_restart_mixture(scenario: Scenario, clustering: Clustering) -> floa
     return p_soft * mean_cluster + (1 - p_soft) * analytic_node
 
 
-def montecarlo_scores(
-    scenario: Scenario,
-    clustering: Clustering,
-    *,
-    n_samples: int = 2000,
-    rng=None,
-    tolerance=rs_half_tolerance,
-) -> MonteCarloScores:
-    """Deprecated loose-kwarg form of the batched Monte-Carlo evaluation.
-
-    .. deprecated::
-        Construct a :class:`repro.core.query.ReliabilityQuery` with
-        ``metric="montecarlo"`` (:func:`repro.core.query.query_for`
-        converts live scenario/clustering objects) and call
-        :func:`repro.core.query.run_query`; under an integer seed the
-        query path draws and scores the identical event stream. This shim
-        survives one release.
-    """
-    warnings.warn(
-        "montecarlo_scores(...) is deprecated; build a "
-        "ReliabilityQuery(metric='montecarlo') via repro.core.query and "
-        "call run_query (bit-identical under an integer seed)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _montecarlo_scores(
-        scenario, clustering, n_samples=n_samples, rng=rng, tolerance=tolerance
-    )
-
-
-def _montecarlo_scores(
-    scenario: Scenario,
-    clustering: Clustering,
-    *,
-    n_samples: int = 2000,
-    rng=None,
-    tolerance=rs_half_tolerance,
-) -> MonteCarloScores:
-    """Sample failures and measure restart fraction + catastrophic rate.
-
-    Soft errors roll back the process's own L1 cluster; node events roll
-    back the union of the affected clusters (exactly the protocol's
-    restart-set rule, :func:`repro.models.restart_set_for_nodes`). The
-    whole batch is drawn and scored with a handful of array operations —
-    see the module's performance notes. ``tolerance`` must match the
-    erasure configuration of the analytic model being validated (e.g.
-    ``xor_tolerance`` when the evaluator scores XOR parity).
-
-    (Internal engine behind the deprecated :func:`montecarlo_scores` shim
-    and the query API's ``metric="montecarlo"``; unlike a query it still
-    accepts live ``numpy`` generators as ``rng``.)
-    """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    gen = resolve_rng(rng)
-    model = CatastrophicModel(
-        scenario.placement, taxonomy=scenario.taxonomy, tolerance=tolerance
-    )
-    sampler = MonteCarloEstimator(model, rng=gen)
-
-    batch = sampler.sample_events(n_samples)
-    tables = restart_tables(clustering, scenario.placement)
-    restart_fractions = tables.batch_restart_fractions(batch)
-    catastrophic = int(model.events_are_catastrophic(clustering, batch).sum())
-    return _scores_from_samples(
-        clustering.name, restart_fractions, catastrophic, int(batch.is_soft.sum())
-    )
-
-
 def montecarlo_scores_scalar(
     scenario: Scenario,
     clustering: Clustering,
@@ -172,7 +104,7 @@ def montecarlo_scores_scalar(
     rng=None,
     tolerance=rs_half_tolerance,
 ) -> MonteCarloScores:
-    """Per-event reference implementation of :func:`montecarlo_scores`.
+    """Per-event reference implementation of the batched Monte-Carlo query.
 
     Walks every sampled event through the scalar predicates — the original
     sample-then-measure loop. Kept (and exercised by the equivalence tests)
@@ -215,35 +147,43 @@ def validate_against_analytic(
     clustering: Clustering,
     *,
     n_samples: int = 2000,
-    rng=None,
+    seed: int = 0,
     restart_tolerance: float = 0.02,
     tolerance=rs_half_tolerance,
 ) -> dict[str, float]:
     """Run the Monte Carlo and compare with the analytic models.
 
+    The samples come from a ``metric="montecarlo"`` query under ``seed``.
     Returns the absolute deviations; raises ``AssertionError`` when the
     sampled restart fraction strays beyond ``restart_tolerance`` of the
     analytic node-failure expectation (adjusted for the soft-error mix).
     """
-    mc = _montecarlo_scores(
-        scenario, clustering, n_samples=n_samples, rng=rng, tolerance=tolerance
+    mc = run_query(
+        query_for(
+            scenario,
+            clustering,
+            tolerance=tolerance,
+            n_samples=n_samples,
+            seed=seed,
+        )
     )
+    mc_restart = mc.value("restart_fraction_mean")
     model = CatastrophicModel(
         scenario.placement, taxonomy=scenario.taxonomy, tolerance=tolerance
     )
     analytic_cat = model.probability(clustering)
     analytic_mixture = analytic_restart_mixture(scenario, clustering)
 
-    deviation = abs(mc.restart_fraction_mean - analytic_mixture)
+    deviation = abs(mc_restart - analytic_mixture)
     if deviation > restart_tolerance:
         raise AssertionError(
-            f"Monte-Carlo restart {mc.restart_fraction_mean:.4f} deviates "
+            f"Monte-Carlo restart {mc_restart:.4f} deviates "
             f"{deviation:.4f} from analytic {analytic_mixture:.4f}"
         )
     return {
         "restart_deviation": deviation,
         "analytic_restart": analytic_mixture,
-        "mc_restart": mc.restart_fraction_mean,
+        "mc_restart": mc_restart,
         "analytic_catastrophic": analytic_cat,
-        "mc_catastrophic": mc.catastrophic_rate,
+        "mc_catastrophic": mc.value("catastrophic_rate"),
     }

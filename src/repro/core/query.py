@@ -8,11 +8,7 @@ The CLI, the experiments, the benchmarks, the fuzzer's oracle and the
 HTTP service (:mod:`repro.service`) all construct the same object; the
 JSON wire format (``to_json``/``from_json``, versioned ``"v": 1``) *is*
 the in-process API, so a query posted over the wire and a query built in
-a test are literally interchangeable. This mirrors the
-:class:`repro.simmpi.config.EngineConfig` redesign of the engine API:
-loose-kwarg entry points (``montecarlo_scores``,
-``CampaignSimulator.expected_waste``) survive one release as
-:class:`DeprecationWarning` shims.
+a test are literally interchangeable.
 
 Queries are cheap value objects; the heavy per-(clustering, placement)
 lookup tables they need are resolved once into a :class:`QueryTables`
@@ -247,16 +243,24 @@ class ClusteringSpec:
     def key(self) -> str:
         """Canonical cache-key fragment. Label vectors are digested so the
         key stays short; the digest is stable across processes (unlike
-        ``hash()``, which is salted)."""
+        ``hash()``, which is salted). Memoized on the (frozen) instance:
+        digesting a thousand-rank label tuple costs more than scoring a
+        small Monte-Carlo query."""
+        key = self.__dict__.get("_key")
+        if key is not None:
+            return key
         if self.strategy != "labels":
-            return f"{self.strategy}:{self.cluster_size}:{self.name or ''}"
-        digest = hashlib.sha256(
-            np.asarray(self.l1, dtype=np.int64).tobytes()
-            + b"|"
-            + np.asarray(self.l2 if self.l2 is not None else self.l1,
-                         dtype=np.int64).tobytes()
-        ).hexdigest()[:16]
-        return f"labels:{self.name or ''}:{digest}"
+            key = f"{self.strategy}:{self.cluster_size}:{self.name or ''}"
+        else:
+            digest = hashlib.sha256(
+                np.asarray(self.l1, dtype=np.int64).tobytes()
+                + b"|"
+                + np.asarray(self.l2 if self.l2 is not None else self.l1,
+                             dtype=np.int64).tobytes()
+            ).hexdigest()[:16]
+            key = f"labels:{self.name or ''}:{digest}"
+        object.__setattr__(self, "_key", key)
+        return key
 
     def to_dict(self) -> dict:
         data: dict = {"strategy": self.strategy}
@@ -287,13 +291,12 @@ class ReliabilityQuery:
     ``metric`` selects what is computed:
 
     * ``"montecarlo"`` — sample ``n_samples`` failures and measure restart
-      fraction + catastrophic rate (the batched
-      ``montecarlo_scores`` pipeline, bit-identical draws under ``seed``);
+      fraction + catastrophic rate (one batched draw and table-indexed
+      scoring pass, bit-identical draws under ``seed``);
     * ``"campaign"`` — one simulated failure campaign
       (:meth:`CampaignSimulator.run` under ``seed``), full cost breakdown;
     * ``"expected_waste"`` — mean waste fraction over ``n_campaigns``
-      campaigns drawn serially from one generator (the historical
-      ``expected_waste(workers=1)`` path, seed-for-seed identical);
+      campaigns drawn serially from one generator under ``seed``;
     * ``"survival"`` — deterministic survival curve: for each cascade
       length ``f`` in ``sweep`` (default ``1..max_simultaneous``), the
       fraction of length-``f`` node runs the erasure configuration
@@ -731,9 +734,9 @@ def _serial_expected_waste(
     n_campaigns: int,
     seed: int,
 ) -> float:
-    """The historical serial ``expected_waste`` path: ``n_campaigns``
-    campaigns drawn sequentially from one shared generator — seed-for-seed
-    identical to the deprecated loose-kwarg form with ``workers=1``."""
+    """Mean waste fraction of ``n_campaigns`` campaigns drawn sequentially
+    from one shared generator (parallel sweeps use
+    :meth:`CampaignSimulator.sweep`, which spawns one stream each)."""
     gen = resolve_rng(seed)
     return float(
         np.mean(

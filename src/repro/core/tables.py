@@ -36,7 +36,7 @@ Reference path & invariants
 Like the simmpi fast paths (:mod:`repro.simmpi.collectives`), the batched
 evaluation keeps its slow reference in-tree: ``montecarlo_scores_scalar``
 walks every sampled event through the original per-event models, and the
-batched ``montecarlo_scores`` must agree with it seed for seed — same RNG
+batched ``metric="montecarlo"`` query must agree with it — same RNG
 streams, same per-event restart fractions and catastrophic verdicts — so
 the tables are an *encoding* of the models, never an approximation.
 ``tests/core/test_eval_tables.py`` asserts the equivalence (plus table
@@ -88,7 +88,8 @@ def _batch_run_lookup(
     node_idx = np.flatnonzero(~soft)
     lengths = batch.run_length[node_idx]
     starts = batch.run_start[node_idx]
-    for f in np.unique(lengths):
+    # The distinct lengths, ascending (bincount: cheaper than np.unique).
+    for f in np.flatnonzero(np.bincount(lengths)):
         sel = lengths == f
         out[node_idx[sel]] = run_table(int(f))[starts[sel]]
     return out

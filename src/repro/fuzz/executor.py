@@ -19,7 +19,7 @@ through :class:`~repro.hydee.recovery.RecoveryManager` — erasure decode,
 log replay, send-determinism verification, bitwise state comparison
 against a failure-free reference. The observed outcome is compared with
 the analytic tables' prediction (`event_is_catastrophic`, restart
-fractions — the quantities behind ``montecarlo_scores``).
+fractions — the quantities a ``metric="montecarlo"`` query scores).
 
 Events are observed *in schedule order with cumulative damage*: a node
 wiped by an earlier event stays wiped. The analytic model prices each
@@ -57,7 +57,13 @@ from repro.fuzz.shape import FuzzShape
 from repro.hydee.logging import ReplayMismatchError
 from repro.hydee.protocol import run_with_protocol
 from repro.hydee.recovery import ContainedRecoveryError, RecoveryManager
-from repro.simmpi import DeadlockError, Engine, ScheduleTrace, run_program
+from repro.simmpi import (
+    DeadlockError,
+    Engine,
+    EngineConfig,
+    ScheduleTrace,
+    run_program,
+)
 
 CLASSIFICATIONS = (
     "crash",
@@ -138,9 +144,11 @@ def _schedule_check(
     )
     seeded = Engine(
         shape.nranks,
+        config=EngineConfig(
+            schedule_seed=None if trace is not None else scenario.schedule_seed,
+            schedule_trace=trace,
+        ),
         network=machine.network,
-        schedule_seed=None if trace is not None else scenario.schedule_seed,
-        schedule_trace=trace,
     )
     seeded.failure_ranks.update(victims)
     outcome = _engine_outcome(
@@ -211,10 +219,10 @@ def _engine_check(scenario: FuzzScenario) -> tuple[bool, bool, dict, str, tuple 
 
     reference = Engine(
         shape.nranks,
+        config=EngineConfig(
+            use_fast_collectives=False, use_batched_p2p=False, use_kernels=False
+        ),
         network=machine.network,
-        use_fast_collectives=False,
-        use_batched_p2p=False,
-        use_kernels=False,
     )
     reference.failure_ranks.update(victims)
     ref_outcome = _engine_outcome(

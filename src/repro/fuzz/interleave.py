@@ -31,6 +31,7 @@ from repro.simmpi import (
     ANY_SOURCE,
     DeadlockError,
     Engine,
+    EngineConfig,
     ScheduleTrace,
     TraceRecorder,
 )
@@ -158,10 +159,11 @@ def run_schedule(
     tracer = TraceRecorder(nranks)
     engine = Engine(
         nranks,
+        config=EngineConfig(
+            schedule_seed=schedule_seed, schedule_trace=schedule_trace
+        ),
         network=network,
         tracer=tracer,
-        schedule_seed=schedule_seed,
-        schedule_trace=schedule_trace,
     )
     trace: tuple = ()
     try:

@@ -25,7 +25,6 @@ already-tested model.
 from __future__ import annotations
 
 import math
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -280,51 +279,3 @@ class CampaignSimulator:
             clustering.name: results[i * n_campaigns : (i + 1) * n_campaigns]
             for i, clustering in enumerate(clusterings)
         }
-
-    def expected_waste(
-        self,
-        clustering: Clustering,
-        *,
-        n_campaigns: int = 5,
-        rng=None,
-        workers: int = 1,
-    ) -> float:
-        """Mean waste fraction over several sampled campaigns.
-
-        .. deprecated::
-            Construct a :class:`repro.core.query.ReliabilityQuery` with
-            ``metric="expected_waste"`` and call
-            :func:`repro.core.query.run_query` instead; the query path is
-            seed-for-seed identical to ``workers=1`` here. This loose-kwarg
-            form survives one release as a shim. Parallel multi-campaign
-            sweeps stay on :meth:`sweep` (not deprecated).
-
-        ``workers=1`` keeps the historical serial path (campaigns drawn
-        sequentially from one shared generator, seed-for-seed identical to
-        earlier releases); ``workers > 1`` delegates to :meth:`sweep`,
-        which spawns one child stream per campaign and scores them in a
-        process pool (statistically equivalent, different draws).
-        """
-        warnings.warn(
-            "CampaignSimulator.expected_waste(...) is deprecated; build a "
-            "ReliabilityQuery(metric='expected_waste') and call "
-            "repro.core.query.run_query (seed-for-seed identical)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if n_campaigns < 1:
-            raise ValueError("n_campaigns must be >= 1")
-        if workers > 1:
-            results = self.sweep(
-                [clustering], n_campaigns=n_campaigns, rng=rng, workers=workers
-            )[clustering.name]
-            return float(np.mean([r.waste_fraction for r in results]))
-        gen = resolve_rng(rng)
-        return float(
-            np.mean(
-                [
-                    self.run(clustering, rng=gen).waste_fraction
-                    for _ in range(n_campaigns)
-                ]
-            )
-        )

@@ -4,9 +4,7 @@ Every benchmark and smoke run follows the same discipline as the rest of
 ``benchmarks/``: *prove the fast path equals the reference, then time
 it*. :func:`verify_equivalence` asserts, for every distinct query in the
 mix, that the service's answer is bit-equal to a direct in-process
-:func:`repro.core.query.run_query` — and, for the metrics the deprecated
-loose-kwarg forms cover, bit-equal to direct ``montecarlo_scores`` /
-``expected_waste`` calls. Only then does :func:`run_load` hammer the
+:func:`repro.core.query.run_query`. Only then does :func:`run_load` hammer the
 server from concurrent threads and record queries/s with p50/p99
 latency and the cache hit rate.
 """
@@ -15,7 +13,6 @@ from __future__ import annotations
 
 import statistics
 import time
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -103,57 +100,15 @@ def sweep_query(
     )
 
 
-def _legacy_reference(query: ReliabilityQuery):
-    """Answer ``query`` through the *deprecated* loose-kwarg entry points
-    (warnings suppressed) — the independent pre-redesign path the service must
-    reproduce bit for bit. Returns None for metrics the legacy API never
-    covered."""
-    from repro.core.montecarlo import montecarlo_scores
-    from repro.core.scenario import Scenario
-    from repro.models.campaign import CampaignSimulator
-
-    machine = query.machine.build()
-    clustering = query.clustering.build(machine)
-    if query.metric == "montecarlo":
-        scenario = Scenario.__new__(Scenario)  # graph-free shell
-        object.__setattr__(scenario, "machine", machine)
-        object.__setattr__(scenario, "taxonomy", query.taxonomy)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            mc = montecarlo_scores(
-                scenario,
-                clustering,
-                n_samples=query.n_samples,
-                rng=query.seed,
-            )
-        return {
-            "restart_fraction_mean": mc.restart_fraction_mean,
-            "restart_fraction_p95": mc.restart_fraction_p95,
-            "catastrophic_rate": mc.catastrophic_rate,
-            "soft_error_share": mc.soft_error_share,
-        }
-    if query.metric == "expected_waste":
-        simulator = CampaignSimulator(
-            machine, query.campaign, taxonomy=query.taxonomy
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            waste = simulator.expected_waste(
-                clustering, n_campaigns=query.n_campaigns, rng=query.seed
-            )
-        return {"expected_waste": waste}
-    return None
-
-
 def verify_equivalence(
     client: ServiceClient, queries, *, stream: ReliabilityQuery | None = None
 ) -> int:
     """Assert the service answers ``queries`` bit-equal to direct calls.
 
-    Three-way check per query: service == in-process ``run_query`` ==
-    (where the old API reaches) the deprecated loose-kwarg functions.
-    Raises ``AssertionError`` on the first mismatch; returns the number
-    of checks performed.
+    Per query: service == in-process ``run_query``; for ``stream``, the
+    streamed chunks concatenate to the in-process curve. Raises
+    ``AssertionError`` on the first mismatch; returns the number of
+    checks performed.
     """
     checks = 0
     for query in queries:
@@ -163,14 +118,6 @@ def verify_equivalence(
             f"service diverged from in-process run_query for {query.metric} "
             f"({query.clustering.key()}, seed {query.seed})"
         )
-        legacy = _legacy_reference(query)
-        if legacy is not None:
-            for name, expected in legacy.items():
-                got = served.value(name)
-                assert got == expected, (
-                    f"service {query.metric}.{name}={got!r} != legacy "
-                    f"loose-kwarg result {expected!r}"
-                )
         checks += 1
     if stream is not None:
         partials, final = client.query_streamed(stream)
@@ -298,10 +245,9 @@ def run_self_test(*, workers: int = 0, verbose: bool = True) -> int:
     """Start a server, drive it, assert equivalence, shut down cleanly.
 
     The CI service smoke (`python -m repro serve --self-test`): a handful
-    of queries across every metric, one streamed sweep, three-way
-    bit-equality (service == run_query == deprecated direct calls), and a
-    short concurrent burst to confirm batching/caching engage. Returns 0
-    on success.
+    of queries across every metric, one streamed sweep, bit-equality
+    (service == run_query), and a short concurrent burst to confirm
+    batching/caching engage. Returns 0 on success.
     """
     mix = default_query_mix(n_samples=500, seeds=2)
     stream = sweep_query(points=6)

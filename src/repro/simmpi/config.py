@@ -1,19 +1,13 @@
 """One frozen, picklable configuration object for the simulation engine.
 
-:class:`EngineConfig` consolidates the engine's keyword sprawl — the
-fast-path gates (``use_fast_collectives`` / ``use_batched_p2p`` /
-``use_kernels``), the pool sizing, the interleaving-exploration knobs and
-the failure/observer gates — into one validated dataclass. It exists so
+:class:`EngineConfig` carries every engine knob — the fast-path gates
+(``use_fast_collectives`` / ``use_batched_p2p`` / ``use_kernels``), the
+pool sizing, the interleaving-exploration knobs and the failure/observer
+gates — in one validated dataclass. It exists so
 any consumer that replicates engines (the sharded multi-process engine's
 workers, the fuzz executor, replay tooling) ships *one object* across a
 process boundary instead of replaying keyword arguments, with the
 guarantee that two engines built from equal configs behave identically.
-
-``Engine(nranks, config=...)`` is the primary constructor; the legacy
-keyword arguments keep working through a shim that builds a config (see
-:meth:`Engine.__init__ <repro.simmpi.engine.Engine.__init__>`). Passing
-both a config and legacy keywords is an error — silently merging them
-would make "which flag won?" ambiguous.
 
 The config is intentionally *immutable and value-like*: ``frozen=True``
 makes it hashable and safe to share, and every field is built from
@@ -37,27 +31,61 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 class EngineConfig:
     """Validated, picklable engine construction parameters.
 
-    Parameters mirror the engine's documented keywords exactly:
-
     use_fast_collectives:
-        Allow collectives on registered groups to take the vectorized
-        fast path (``False`` pins the p2p generator cascade).
+        Allow collectives (world or split sub-communicator) to take the
+        vectorized fast path. Set to ``False`` to pin every collective to
+        the point-to-point generator cascade (the equivalence suite's
+        reference).
     use_batched_p2p:
-        Price p2p sends in vectorized waves (``False`` pins the scalar
-        per-message reference).
+        Price point-to-point sends in vectorized waves (one
+        :meth:`NetworkModel.transfer_times` call and one fancy-indexed
+        pool assignment per drained batch) instead of one scalar
+        :meth:`NetworkModel.transfer_time` call per message. Arrival times
+        are bit-identical either way; set to ``False`` to pin the scalar
+        reference path.
     use_kernels:
-        Allow :class:`~repro.simmpi.engine.KernelLoop` steady states to
-        compile into closed-form whole-world kernels.
+        Allow :class:`~repro.simmpi.engine.KernelLoop` steady-state loops
+        to compile into whole-world closed-form kernel executions once
+        every unfinished rank cycles through a static wave. Set to
+        ``False`` to pin the loop's interpreted expansion (still zero
+        generator wakeups between matching points, but every message
+        posted individually — the kernel equivalence suite's reference).
+        The vectorized path additionally self-gates exactly like the other
+        fast paths: any per-message observer (``message_log``,
+        ``track_recv_counts``, failure injection) or
+        ``use_batched_p2p=False`` keeps the interpreted expansion.
     pool_capacity:
-        Initial :class:`~repro.simmpi.request.MessagePool` slot count
-        (the pool doubles on demand).
+        Initial :class:`~repro.simmpi.request.MessagePool` slot count.
+        The pool doubles on demand, so this only sizes the steady state
+        (tests use tiny capacities to exercise growth).
     schedule_seed:
-        Seeded interleaving exploration (``None`` = canonical drain).
+        Seeded interleaving exploration. When set, every scheduler batch
+        is permuted by a dedicated ``numpy`` Generator after its canonical
+        ascending sort — the ranks of a batch are causally unordered, so
+        every permuted drain is a legal MPI schedule; per-rank program
+        order and per-(sender, communicator) non-overtaking are
+        untouched. What changes is the *global* posting-sequence
+        interleaving, which is exactly what wildcard arbitration and
+        deadlock hunting need to see varied. The default ``None`` keeps
+        the canonical deterministic drain byte-for-byte (the permutation
+        machinery is bypassed entirely). Applied permutations are
+        recorded on the engine's ``schedule_trace`` after every run, so
+        any explored schedule replays exactly from the seed or from the
+        recorded trace. Steady-state kernels deopt under a non-canonical
+        schedule (``kernel_deopts["non-canonical-schedule"]``): their
+        closed-form execution assumes the canonical posting sequence.
     schedule_trace:
-        Recorded :class:`~repro.simmpi.schedule.ScheduleTrace` to replay
-        instead of drawing permutations from the seed.
+        Replay a recorded :class:`~repro.simmpi.schedule.ScheduleTrace`
+        instead of drawing permutations from a seed (repro files and the
+        schedule shrinker use this). Entries whose permutation length no
+        longer matches the batch are skipped — the batch drains
+        canonically — so partially-reverted traces stay legal. Takes
+        precedence over ``schedule_seed`` when both are given.
     failure_ranks:
-        Ranks that fail at their next engine interaction. Stored as a
+        Ranks that should fail by raising
+        :class:`~repro.simmpi.errors.RankFailedError` inside their program
+        the next time they interact with the engine. Used by the
+        failure-injection layers; normal runs leave it empty. Stored as a
         ``frozenset``; the engine copies it into its mutable
         ``failure_ranks`` set (failure layers arm ranks mid-run).
     track_recv_counts:

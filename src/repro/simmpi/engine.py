@@ -31,17 +31,17 @@ the same way, until no rank is runnable. The schedule is a pure function
 of the programs — no heap, no wall-clock, no iteration order over hash
 containers — so runs are exactly reproducible.
 
-``Engine(schedule_seed=...)`` turns on *interleaving exploration*: each
-batch is additionally permuted by a dedicated seeded Generator after its
-canonical sort. Ranks within a batch are causally unordered, so every
+``EngineConfig(schedule_seed=...)`` turns on *interleaving exploration*:
+each batch is additionally permuted by a dedicated seeded Generator after
+its canonical sort. Ranks within a batch are causally unordered, so every
 permuted drain is a legal MPI schedule — per-rank program order and
 per-channel non-overtaking are untouched; only the global
 posting-sequence interleaving (and therefore wildcard arbitration and
 deadlock potential) varies. Applied permutations are recorded as a
 :class:`~repro.simmpi.schedule.ScheduleTrace` so any explored schedule
 replays exactly, from the seed or from the trace
-(``Engine(schedule_trace=...)``). The default path is byte-for-byte the
-canonical drain, and steady-state kernels deopt
+(``EngineConfig(schedule_trace=...)``). The default path is
+byte-for-byte the canonical drain, and steady-state kernels deopt
 (``non-canonical-schedule``) while exploring.
 
 Dispatch of the yielded ops is a ``__class__``-identity chain over the
@@ -102,8 +102,8 @@ per rank instead of roughly three per message, while posting order, message
 matching, pricing and tracing stay exactly those of the equivalent
 ``isend`` / ``irecv`` / ``wait`` sequence (the equivalence suite pins
 traces, clocks and results against the per-message program). All traced
-workloads speak this shape by default (``use_waves`` on the app
-configs); re-arming is restart-safe — a start refuses a receive still in
+workloads speak this shape by default (``mode`` on the app configs);
+re-arming is restart-safe — a start refuses a receive still in
 flight or matched-but-never-drained — and failure injection sees waves
 and per-message sequences identically (a dropped start posts nothing,
 exactly like a crash before the first ``isend`` of the equivalent
@@ -489,6 +489,13 @@ class Engine:
     ----------
     nranks:
         World size.
+    config:
+        The frozen, picklable :class:`~repro.simmpi.config.EngineConfig`
+        carrying every engine knob (fast-path gates, pool sizing,
+        interleaving exploration, failure/observer gates); its docstring
+        documents each one. Defaults to ``EngineConfig()``. One object is
+        what the sharded engine's workers and the fuzz executor replicate
+        across process boundaries.
     network:
         Timing model; defaults to a zero-latency network, which preserves
         ordering semantics and traces while making unit tests trivial.
@@ -497,71 +504,7 @@ class Engine:
         recorded (fast-path collectives and batched p2p waves record the
         same messages in bulk; the scalar p2p reference records at post
         time).
-    use_fast_collectives:
-        Allow collectives (world or split sub-communicator) to take the
-        vectorized fast path. Set to ``False`` to pin every collective to
-        the point-to-point generator cascade (the equivalence suite's
-        reference).
-    use_batched_p2p:
-        Price point-to-point sends in vectorized waves (one
-        :meth:`NetworkModel.transfer_times` call and one fancy-indexed
-        pool assignment per drained batch) instead of one scalar
-        :meth:`NetworkModel.transfer_time` call per message. Arrival times
-        are bit-identical either way; set to ``False`` to pin the scalar
-        reference path.
-    use_kernels:
-        Allow :class:`KernelLoop` steady-state loops to compile into
-        whole-world :class:`_SteadyStateKernel` executions once every
-        unfinished rank cycles through a static wave. Set to ``False`` to
-        pin the loop's interpreted expansion (still zero generator wakeups
-        between matching points, but every message posted individually —
-        the kernel equivalence suite's reference). The vectorized path
-        additionally self-gates exactly like the other fast paths: any
-        per-message observer (``message_log``, ``track_recv_counts``,
-        failure injection) or ``use_batched_p2p=False`` keeps the
-        interpreted expansion.
-    pool_capacity:
-        Initial slot count of the engine's :class:`MessagePool`; the pool
-        doubles on demand, so this only sizes the steady state (tests use
-        tiny capacities to exercise growth).
-    schedule_seed:
-        Seeded interleaving exploration. When set, every scheduler batch
-        is permuted by a dedicated ``numpy`` Generator after its canonical
-        ascending sort — the ranks of a batch are causally unordered, so
-        every permuted drain is a legal MPI schedule; per-rank program
-        order and per-(sender, communicator) non-overtaking are
-        untouched. What changes is the *global* posting-sequence
-        interleaving, which is exactly what wildcard arbitration and
-        deadlock hunting need to see varied. The default ``None`` keeps
-        the canonical deterministic drain byte-for-byte (the permutation
-        machinery is bypassed entirely). Applied permutations are
-        recorded on :attr:`schedule_trace` after every run, so any
-        explored schedule replays exactly from the seed or from the
-        recorded trace. Steady-state kernels deopt under a non-canonical
-        schedule (``kernel_deopts["non-canonical-schedule"]``): their
-        closed-form execution assumes the canonical posting sequence.
-    schedule_trace:
-        Replay a recorded :class:`~repro.simmpi.schedule.ScheduleTrace`
-        instead of drawing permutations from a seed (repro files and the
-        schedule shrinker use this). Entries whose permutation length no
-        longer matches the batch are skipped — the batch drains
-        canonically — so partially-reverted traces stay legal. Takes
-        precedence over ``schedule_seed`` when both are given.
-    failure_ranks:
-        Ranks that should fail by raising :class:`RankFailedError` inside
-        their program the next time they interact with the engine. Used by
-        the failure-injection layers; normal runs leave it empty.
-
-    The primary constructor is ``Engine(nranks, config=EngineConfig(...))``:
-    one frozen, picklable object carries every knob above (plus the
-    failure/observer gates), which is what the sharded engine's workers and
-    the fuzz executor replicate across process boundaries. The loose
-    keyword arguments keep working as a shim that builds the equivalent
-    config; passing ``config=`` *and* a legacy keyword raises — merging
-    them silently would make the winning flag ambiguous.
     """
-
-    _UNSET = object()  # legacy-kwarg sentinel for the config shim
 
     def __init__(
         self,
@@ -570,35 +513,11 @@ class Engine:
         config: EngineConfig | None = None,
         network: NetworkModel | None = None,
         tracer: TraceRecorder | None = None,
-        use_fast_collectives: bool | object = _UNSET,
-        use_batched_p2p: bool | object = _UNSET,
-        use_kernels: bool | object = _UNSET,
-        pool_capacity: int | object = _UNSET,
-        schedule_seed: "int | None | object" = _UNSET,
-        schedule_trace: "ScheduleTrace | None | object" = _UNSET,
     ):
         if nranks <= 0:
             raise ValueError(f"nranks must be positive, got {nranks}")
-        unset = Engine._UNSET
-        legacy = {
-            name: value
-            for name, value in (
-                ("use_fast_collectives", use_fast_collectives),
-                ("use_batched_p2p", use_batched_p2p),
-                ("use_kernels", use_kernels),
-                ("pool_capacity", pool_capacity),
-                ("schedule_seed", schedule_seed),
-                ("schedule_trace", schedule_trace),
-            )
-            if value is not unset
-        }
         if config is None:
-            config = EngineConfig(**legacy)
-        elif legacy:
-            raise TypeError(
-                "Engine() got both config= and legacy keyword(s) "
-                f"{sorted(legacy)} — put every flag on the EngineConfig"
-            )
+            config = EngineConfig()
         self.config = config
         self.nranks = nranks
         self.network = network or zero_latency_network()
@@ -609,7 +528,7 @@ class Engine:
         # Mutable working copy: the failure layers arm ranks mid-run.
         self.failure_ranks: set[int] = set(config.failure_ranks)
 
-        # Interleaving exploration (see the schedule_seed parameter).
+        # Interleaving exploration (see EngineConfig.schedule_seed).
         # ``schedule_trace`` publishes the permutations the last run
         # applied (None after canonical runs); ``_replay_trace`` is the
         # recorded trace a replay run applies instead of drawing.

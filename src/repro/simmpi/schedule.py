@@ -2,19 +2,20 @@
 
 The engine's scheduler is a batched run-until-blocked loop that drains
 every batch in ascending rank order — one canonical, deterministic
-schedule. The interleaving-exploration mode (``Engine(schedule_seed=...)``)
-permutes the drain order of each batch among its causally-unordered
-ranks; a :class:`ScheduleTrace` records exactly which permutations were
-applied, as ``(batch ordinal, permutation)`` entries for the batches that
-actually deviated from canonical order.
+schedule. The interleaving-exploration mode
+(``EngineConfig(schedule_seed=...)``) permutes the drain order of each
+batch among its causally-unordered ranks; a :class:`ScheduleTrace`
+records exactly which permutations were applied, as ``(batch ordinal,
+permutation)`` entries for the batches that actually deviated from
+canonical order.
 
 A trace makes any explored schedule *replay-exact* two ways:
 
 * re-running with the same ``schedule_seed`` regenerates the identical
   permutation stream (batch compositions are a pure function of the
   schedule, which is a pure function of seed + programs);
-* re-running with ``Engine(schedule_trace=...)`` applies the recorded
-  permutations directly — no RNG involved — which is what repro files
+* re-running with ``EngineConfig(schedule_trace=...)`` applies the
+  recorded permutations directly — no RNG involved — which is what repro files
   and the schedule shrinker use. A trace entry whose permutation length
   no longer matches its batch (possible after the shrinker reverts an
   earlier batch to canonical order, shifting what runs when) is skipped:

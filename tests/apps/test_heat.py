@@ -1,5 +1,7 @@
 """Heat-diffusion application tests."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -81,7 +83,7 @@ class TestParallelEquivalence:
 class TestWaveEquivalence:
     @pytest.mark.parametrize("synthetic", [False, True])
     def test_wave_matches_per_message(self, synthetic):
-        from repro.apps.workload import ExecutionMode, with_mode
+        from repro.apps.workload import ExecutionMode
         from repro.simmpi import Engine, TraceRecorder
 
         cfg = HeatConfig(
@@ -90,7 +92,7 @@ class TestWaveEquivalence:
         modes = {False: ExecutionMode.PER_MESSAGE, True: ExecutionMode.KERNELS}
         runs = {}
         for use_waves in (False, True):
-            sim = HeatSimulation(with_mode(cfg, modes[use_waves]))
+            sim = HeatSimulation(replace(cfg, mode=modes[use_waves]))
             tracer = TraceRecorder(4, by_kind=True)
             engine = Engine(4, tracer=tracer)
             states = engine.run(sim.make_program())

@@ -1,5 +1,7 @@
 """Spectral (all-to-all) workload tests — the §V caveat."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -104,13 +106,13 @@ class TestWaveEquivalence:
     def test_synthetic_wave_matches_per_message(self):
         """Both transpose paths share the post-all-then-drain structure,
         so stamps, traces and clocks are identical."""
-        from repro.apps.workload import ExecutionMode, with_mode
+        from repro.apps.workload import ExecutionMode
 
         cfg = small_cfg(nranks=8, n=16, iterations=3, synthetic=True)
         modes = {False: ExecutionMode.PER_MESSAGE, True: ExecutionMode.KERNELS}
         runs = {}
         for use_waves in (False, True):
-            sim = SpectralSimulation(with_mode(cfg, modes[use_waves]))
+            sim = SpectralSimulation(replace(cfg, mode=modes[use_waves]))
             tracer = TraceRecorder(8, by_kind=True)
             engine = Engine(8, tracer=tracer)
             engine.run(sim.make_program())

@@ -1,5 +1,7 @@
 """Tsunami-application tests, including parallel-vs-serial bit equality."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -142,7 +144,7 @@ class TestSyntheticMode:
 
 
 class TestWaveEquivalence:
-    """use_waves=True and the per-message reference are one workload."""
+    """Wave-native and per-message execution are one workload."""
 
     def _run(self, cfg):
         from repro.simmpi import Engine, TraceRecorder
@@ -155,7 +157,7 @@ class TestWaveEquivalence:
 
     @pytest.mark.parametrize("synthetic", [False, True])
     def test_wave_matches_per_message(self, synthetic):
-        from repro.apps.workload import ExecutionMode, with_mode
+        from repro.apps.workload import ExecutionMode
 
         cfg = TsunamiConfig(
             px=4, py=4, nx=16, ny=16, iterations=8, synthetic=synthetic,
@@ -163,7 +165,7 @@ class TestWaveEquivalence:
         )
         wave_states, wave_clocks, wave_tracer = self._run(cfg)
         ref_states, ref_clocks, ref_tracer = self._run(
-            with_mode(cfg, ExecutionMode.PER_MESSAGE)
+            replace(cfg, mode=ExecutionMode.PER_MESSAGE)
         )
         assert wave_clocks == ref_clocks
         np.testing.assert_array_equal(

@@ -1,6 +1,7 @@
-"""Workload protocol, ExecutionMode resolution and the deprecation shim."""
+"""Workload protocol and the app configs' ExecutionMode field."""
 
 import pickle
+from dataclasses import replace
 
 import pytest
 
@@ -17,8 +18,6 @@ from repro.apps.workload import (
     SpectralWorkload,
     TsunamiWorkload,
     fig5_workload,
-    resolve_execution,
-    with_mode,
 )
 
 
@@ -32,57 +31,40 @@ class TestExecutionMode:
         assert ExecutionMode.KERNELS.use_kernels
 
 
-class TestResolveExecution:
-    def test_nothing_defaults_to_kernels(self):
-        mode, waves, kernels = resolve_execution(None, None, None, owner="X")
-        assert mode is ExecutionMode.KERNELS
-        assert waves and kernels
+class TestConfigMode:
+    @pytest.mark.parametrize(
+        "cfg_cls", [HeatConfig, SpectralConfig, TsunamiConfig]
+    )
+    def test_default_is_kernels(self, cfg_cls):
+        cfg = cfg_cls()
+        assert cfg.mode is ExecutionMode.KERNELS
+        assert cfg.mode.use_waves and cfg.mode.use_kernels
 
     def test_mode_alone_derives_booleans(self):
-        mode, waves, kernels = resolve_execution(
-            ExecutionMode.WAVES, None, None, owner="X"
-        )
-        assert mode is ExecutionMode.WAVES
-        assert waves and not kernels
-
-    def test_legacy_flags_warn_and_derive(self):
-        with pytest.warns(DeprecationWarning, match="mode=ExecutionMode.WAVES"):
-            mode, waves, kernels = resolve_execution(
-                None, True, False, owner="X"
+        for mode in ExecutionMode:
+            cfg = TsunamiConfig(mode=mode)
+            assert cfg.mode is mode
+            assert (cfg.mode.use_waves, cfg.mode.use_kernels) == (
+                mode.use_waves,
+                mode.use_kernels,
             )
-        assert mode is ExecutionMode.WAVES
+            assert not hasattr(cfg, "use_waves")
+            assert not hasattr(cfg, "use_kernels")
 
-    def test_legacy_missing_flag_defaults_true(self):
-        with pytest.warns(DeprecationWarning):
-            mode, _, _ = resolve_execution(None, None, False, owner="X")
-        assert mode is ExecutionMode.WAVES  # waves defaulted to True
-        with pytest.warns(DeprecationWarning):
-            mode, _, _ = resolve_execution(None, True, None, owner="X")
-        assert mode is ExecutionMode.KERNELS  # kernels defaulted to True
-
-    def test_agreeing_mode_and_flags_round_trip(self):
-        mode, waves, kernels = resolve_execution(
-            ExecutionMode.KERNELS, True, True, owner="X"
-        )
-        assert mode is ExecutionMode.KERNELS
-
-    def test_contradiction_raises(self):
-        with pytest.raises(ValueError, match="contradicts"):
-            resolve_execution(ExecutionMode.KERNELS, False, False, owner="X")
-
-
-class TestWithMode:
-    def test_clears_stale_booleans(self):
+    def test_replace_switches_mode(self):
         cfg = HeatConfig(px=2, py=2, mode=ExecutionMode.KERNELS)
-        switched = with_mode(cfg, ExecutionMode.PER_MESSAGE)
+        switched = replace(cfg, mode=ExecutionMode.PER_MESSAGE)
         assert switched.mode is ExecutionMode.PER_MESSAGE
-        assert not switched.use_waves
-        assert not switched.use_kernels
+        assert not switched.mode.use_waves
+        assert not switched.mode.use_kernels
 
-    def test_config_flags_accept_legacy_spelling(self):
-        with pytest.warns(DeprecationWarning):
-            cfg = TsunamiConfig(px=2, py=2, use_waves=False, use_kernels=False)
-        assert cfg.mode is ExecutionMode.PER_MESSAGE
+    @pytest.mark.parametrize(
+        "cfg_cls", [HeatConfig, SpectralConfig, TsunamiConfig]
+    )
+    @pytest.mark.parametrize("flag", ["use_waves", "use_kernels"])
+    def test_boolean_flags_rejected(self, cfg_cls, flag):
+        with pytest.raises(TypeError, match=flag):
+            cfg_cls(**{flag: False})
 
 
 class TestWorkloadProtocol:

@@ -1,19 +1,21 @@
 """ReliabilityQuery API tests: validation, wire format, exact equivalence.
 
-The query layer promises *bit-equality* with the loose-kwarg entry points
-it replaced — same seed, same draws, same floats — so the equivalence
-tests here assert ``==``, not ``approx``.
+The query layer promises *bit-equality* — same seed, same draws, same
+floats — so the equivalence tests here assert ``==``, not ``approx``, and
+the golden pins compare exact wire strings.
 """
 
 import pickle
-import warnings
 from dataclasses import replace
 
 import pytest
 
-from repro.clustering import distributed_clustering, naive_clustering
+from repro.clustering import (
+    distributed_clustering,
+    naive_clustering,
+    size_guided_clustering,
+)
 from repro.core import paper_scenario
-from repro.core.montecarlo import montecarlo_scores
 from repro.core.query import (
     BatchStats,
     ClusteringSpec,
@@ -28,6 +30,7 @@ from repro.core.query import (
     run_query,
     run_query_batch,
 )
+from repro.failures.catastrophic import rs_half_tolerance, xor_tolerance
 from repro.models import CampaignConfig, CampaignSimulator
 
 
@@ -160,46 +163,8 @@ class TestWireFormat:
 
 
 class TestExactEquivalence:
-    """The API redesign's core promise: shims and queries draw the same
-    streams, so results are float-for-float identical."""
-
-    def test_montecarlo_matches_legacy(self, scenario):
-        clustering = distributed_clustering(scenario.placement, 16)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = montecarlo_scores(
-                scenario, clustering, n_samples=800, rng=17
-            )
-        result = run_query(
-            query_for(scenario, clustering, n_samples=800, seed=17)
-        )
-        assert result.value("restart_fraction_mean") == legacy.restart_fraction_mean
-        assert result.value("restart_fraction_p95") == legacy.restart_fraction_p95
-        assert result.value("catastrophic_rate") == legacy.catastrophic_rate
-        assert result.value("soft_error_share") == legacy.soft_error_share
-
-    def test_expected_waste_matches_legacy(self, scenario):
-        clustering = naive_clustering(1024, 32)
-        config = CampaignConfig(
-            horizon_s=7 * 24 * 3600.0,
-            checkpoint_interval_s=1800.0,
-            node_mtbf_s=0.25 * 365 * 24 * 3600.0,
-        )
-        sim = CampaignSimulator(scenario.machine, config)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = sim.expected_waste(clustering, n_campaigns=2, rng=11)
-        result = run_query(
-            query_for(
-                scenario,
-                clustering,
-                metric="expected_waste",
-                campaign=config,
-                n_campaigns=2,
-                seed=11,
-            )
-        )
-        assert result.value("expected_waste") == legacy
+    """Queries draw the same streams as the direct simulator calls, so
+    results are float-for-float identical."""
 
     def test_campaign_matches_simulator_run(self, scenario):
         clustering = naive_clustering(1024, 32)
@@ -316,21 +281,105 @@ class TestQueryFor:
         assert resolve_query(a) is resolve_query(b)
 
 
-class TestShims:
-    def test_montecarlo_scores_warns(self, scenario):
-        with pytest.warns(DeprecationWarning, match="ReliabilityQuery"):
-            montecarlo_scores(
-                scenario, naive_clustering(1024, 32), n_samples=10, rng=0
-            )
+# Exact ``QueryResult.to_json()`` strings, recorded at commit dc7fd4a while
+# the loose-kwarg entry points (``montecarlo_scores``,
+# ``CampaignSimulator.expected_waste``) still existed and were asserted
+# bit-equal to these queries. They keep "seed-for-seed equal samples"
+# checked now that those cross-checks are gone.
+GOLDEN = {
+    "montecarlo/naive-32/rs": (
+        '{"v": 1, "metric": "montecarlo", "clustering": "naive-32", '
+        '"values": [["n_samples", 800.0], ["restart_fraction_mean", '
+        '0.03125], ["restart_fraction_p95", 0.03125], '
+        '["catastrophic_rate", 0.0], ["soft_error_share", 0.0475]], '
+        '"curve": []}'
+    ),
+    "montecarlo/naive-32/xor": (
+        '{"v": 1, "metric": "montecarlo", "clustering": "naive-32", '
+        '"values": [["n_samples", 800.0], ["restart_fraction_mean", '
+        '0.03125], ["restart_fraction_p95", 0.03125], '
+        '["catastrophic_rate", 0.9525], ["soft_error_share", 0.0475]], '
+        '"curve": []}'
+    ),
+    "montecarlo/size-guided-8/rs": (
+        '{"v": 1, "metric": "montecarlo", "clustering": "size-guided-8", '
+        '"values": [["n_samples", 800.0], ["restart_fraction_mean", '
+        '0.01525390625], ["restart_fraction_p95", 0.015625], '
+        '["catastrophic_rate", 0.9525], ["soft_error_share", 0.0475]], '
+        '"curve": []}'
+    ),
+    "montecarlo/size-guided-8/xor": (
+        '{"v": 1, "metric": "montecarlo", "clustering": "size-guided-8", '
+        '"values": [["n_samples", 800.0], ["restart_fraction_mean", '
+        '0.01525390625], ["restart_fraction_p95", 0.015625], '
+        '["catastrophic_rate", 0.9525], ["soft_error_share", 0.0475]], '
+        '"curve": []}'
+    ),
+    "montecarlo/distributed-16/rs": (
+        '{"v": 1, "metric": "montecarlo", "clustering": "distributed-16", '
+        '"values": [["n_samples", 800.0], ["restart_fraction_mean", '
+        '0.2388671875], ["restart_fraction_p95", 0.25], '
+        '["catastrophic_rate", 0.0], ["soft_error_share", 0.0475]], '
+        '"curve": []}'
+    ),
+    "montecarlo/distributed-16/xor": (
+        '{"v": 1, "metric": "montecarlo", "clustering": "distributed-16", '
+        '"values": [["n_samples", 800.0], ["restart_fraction_mean", '
+        '0.2388671875], ["restart_fraction_p95", 0.25], '
+        '["catastrophic_rate", 0.0], ["soft_error_share", 0.0475]], '
+        '"curve": []}'
+    ),
+    "expected_waste": (
+        '{"v": 1, "metric": "expected_waste", "clustering": "naive-32", '
+        '"values": [["expected_waste", 0.154679580552867], ["efficiency", '
+        '0.845320419447133], ["n_campaigns", 3.0]], "curve": []}'
+    ),
+    "campaign": (
+        '{"v": 1, "metric": "campaign", "clustering": "naive-32", '
+        '"values": [["n_failures", 2.0], ["n_catastrophic", 0.0], '
+        '["checkpoint_overhead_s", 69546.19263573333], ["rework_s", '
+        '55.15931451461711], ["restore_s", 13056.134417728], '
+        '["catastrophic_penalty_s", 0.0], ["total_waste_s", '
+        '82657.48636797594], ["waste_fraction", 0.13666912428567451], '
+        '["efficiency", 0.8633308757143254]], "curve": []}'
+    ),
+}
 
-    def test_expected_waste_warns(self, scenario):
-        sim = CampaignSimulator(
-            scenario.machine,
-            CampaignConfig(
-                horizon_s=24 * 3600.0,
-                checkpoint_interval_s=1800.0,
-                node_mtbf_s=365 * 24 * 3600.0,
+_PIN_CAMPAIGN = CampaignConfig(
+    horizon_s=7 * 24 * 3600.0,
+    checkpoint_interval_s=1800.0,
+    node_mtbf_s=0.25 * 365 * 24 * 3600.0,
+)
+
+
+def _pinned_query(scenario, key):
+    kind, *rest = key.split("/")
+    if kind == "montecarlo":
+        name, encoding = rest
+        clustering = {
+            "naive-32": lambda: naive_clustering(1024, 32),
+            "size-guided-8": lambda: size_guided_clustering(1024, 8),
+            "distributed-16": lambda: distributed_clustering(
+                scenario.placement, 16
             ),
+        }[name]()
+        tolerance = {"rs": rs_half_tolerance, "xor": xor_tolerance}[encoding]
+        return query_for(
+            scenario, clustering, tolerance=tolerance, n_samples=800, seed=7
         )
-        with pytest.warns(DeprecationWarning, match="ReliabilityQuery"):
-            sim.expected_waste(naive_clustering(1024, 32), n_campaigns=1, rng=0)
+    extra = {"n_campaigns": 3} if kind == "expected_waste" else {}
+    return query_for(
+        scenario,
+        naive_clustering(1024, 32),
+        metric=kind,
+        campaign=_PIN_CAMPAIGN,
+        seed=1,
+        **extra,
+    )
+
+
+class TestGoldenPins:
+    @pytest.mark.parametrize("key", sorted(GOLDEN))
+    def test_pinned_result(self, scenario, key):
+        result = run_query(_pinned_query(scenario, key))
+        assert result.to_json() == GOLDEN[key]

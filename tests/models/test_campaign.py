@@ -11,6 +11,7 @@ from repro.clustering import (
     size_guided_clustering,
 )
 from repro.commgraph import node_graph, paper_tsunami_matrix
+from repro.core.query import query_for, run_query
 from repro.machine import tsubame2_machine
 from repro.models import CampaignConfig, CampaignResult, CampaignSimulator
 
@@ -37,6 +38,27 @@ def fast_config(**kw):
     )
     defaults.update(kw)
     return CampaignConfig(**defaults)
+
+
+def expected_waste(machine, config, clustering, *, n_campaigns, seed):
+    """Mean waste over ``n_campaigns`` serial campaigns (the query path)."""
+    query = query_for(
+        machine,
+        clustering,
+        metric="expected_waste",
+        campaign=config,
+        n_campaigns=n_campaigns,
+        seed=seed,
+    )
+    return run_query(query).value("expected_waste")
+
+
+def pooled_waste(sim, clustering, *, n_campaigns, seed, workers):
+    """Mean waste over a spawned-stream :meth:`CampaignSimulator.sweep`."""
+    results = sim.sweep(
+        [clustering], n_campaigns=n_campaigns, rng=seed, workers=workers
+    )[clustering.name]
+    return float(np.mean([r.waste_fraction for r in results]))
 
 
 class TestConfig:
@@ -92,7 +114,6 @@ class TestCampaigns:
 
     def test_hierarchical_wins_the_campaign(self, machine, hierarchical):
         """The composed end-to-end result: hierarchical wastes the least."""
-        sim = CampaignSimulator(machine, fast_config())
         wastes = {}
         for clustering in [
             naive_clustering(1024, 32),
@@ -100,8 +121,8 @@ class TestCampaigns:
             distributed_clustering(machine.placement, 16),
             hierarchical,
         ]:
-            wastes[clustering.name] = sim.expected_waste(
-                clustering, n_campaigns=3, rng=11
+            wastes[clustering.name] = expected_waste(
+                machine, fast_config(), clustering, n_campaigns=3, seed=11
             )
         assert min(wastes, key=wastes.get) == "hierarchical-64-4"
 
@@ -123,18 +144,27 @@ class TestCampaigns:
         assert total_cat == 0
 
     def test_more_failures_more_waste(self, machine, hierarchical):
-        calm = CampaignSimulator(
-            machine, fast_config(node_mtbf_s=20 * 365 * 24 * 3600.0)
-        ).expected_waste(hierarchical, n_campaigns=3, rng=1)
-        busy = CampaignSimulator(
-            machine, fast_config(node_mtbf_s=0.05 * 365 * 24 * 3600.0)
-        ).expected_waste(hierarchical, n_campaigns=3, rng=1)
+        calm = expected_waste(
+            machine,
+            fast_config(node_mtbf_s=20 * 365 * 24 * 3600.0),
+            hierarchical,
+            n_campaigns=3,
+            seed=1,
+        )
+        busy = expected_waste(
+            machine,
+            fast_config(node_mtbf_s=0.05 * 365 * 24 * 3600.0),
+            hierarchical,
+            n_campaigns=3,
+            seed=1,
+        )
         assert busy > calm
 
     def test_expected_waste_validation(self, machine, hierarchical):
-        sim = CampaignSimulator(machine, fast_config())
         with pytest.raises(ValueError):
-            sim.expected_waste(hierarchical, n_campaigns=0)
+            expected_waste(
+                machine, fast_config(), hierarchical, n_campaigns=0, seed=0
+            )
 
 
 class TestParallelSweep:
@@ -160,15 +190,15 @@ class TestParallelSweep:
 
     def test_expected_waste_parallel_is_deterministic(self, machine, hierarchical):
         sim = CampaignSimulator(machine, fast_config())
-        a = sim.expected_waste(hierarchical, n_campaigns=4, rng=9, workers=2)
-        b = sim.expected_waste(hierarchical, n_campaigns=4, rng=9, workers=2)
+        a = pooled_waste(sim, hierarchical, n_campaigns=4, seed=9, workers=2)
+        b = pooled_waste(sim, hierarchical, n_campaigns=4, seed=9, workers=2)
         assert a == b
         assert 0.0 <= a <= 1.0
 
     def test_serial_path_unchanged_by_workers_param(self, machine, hierarchical):
-        """workers=1 must keep the historical shared-generator draws."""
+        """The serial expected-waste query keeps the historical
+        shared-generator draws."""
         sim = CampaignSimulator(machine, fast_config())
-        import numpy as np
         from repro.util.rng import resolve_rng
 
         gen = resolve_rng(21)
@@ -177,15 +207,17 @@ class TestParallelSweep:
                 [sim.run(hierarchical, rng=gen).waste_fraction for _ in range(3)]
             )
         )
-        assert sim.expected_waste(
-            hierarchical, n_campaigns=3, rng=21, workers=1
+        assert expected_waste(
+            machine, fast_config(), hierarchical, n_campaigns=3, seed=21
         ) == reference
 
     def test_parallel_statistically_consistent(self, machine, hierarchical):
         """Spawned-stream campaigns estimate the same quantity."""
         sim = CampaignSimulator(machine, fast_config())
-        serial = sim.expected_waste(hierarchical, n_campaigns=8, rng=3, workers=1)
-        pooled = sim.expected_waste(hierarchical, n_campaigns=8, rng=3, workers=2)
+        serial = expected_waste(
+            machine, fast_config(), hierarchical, n_campaigns=8, seed=3
+        )
+        pooled = pooled_waste(sim, hierarchical, n_campaigns=8, seed=3, workers=2)
         assert pooled == pytest.approx(serial, rel=0.5, abs=0.02)
 
     def test_sweep_validation(self, machine, hierarchical):

@@ -17,7 +17,7 @@ from repro.apps.stencil import (
     halo_wave_init,
     synthetic_halo_exchange,
 )
-from repro.simmpi import Engine, TraceRecorder
+from repro.simmpi import Engine, EngineConfig, TraceRecorder
 
 from test_fast_collectives import two_level_network  # same-directory module
 
@@ -29,10 +29,11 @@ def run_both_pricings(program, size, *, fast_collectives=True):
         tracer = TraceRecorder(size, by_kind=True)
         engine = Engine(
             size,
+            config=EngineConfig(
+                use_fast_collectives=fast_collectives, use_batched_p2p=batched
+            ),
             network=two_level_network(),
             tracer=tracer,
-            use_fast_collectives=fast_collectives,
-            use_batched_p2p=batched,
         )
         results = engine.run(program)
         records.append(

@@ -70,23 +70,36 @@ class TestPickling:
 
 class TestEngineIntegration:
     def test_config_is_primary_constructor(self):
+        """Reference-path flags change how messages are priced, never which
+        messages flow."""
         cfg = EngineConfig(use_batched_p2p=False, use_kernels=False)
         tracer_a = TraceRecorder(2)
         tracer_b = TraceRecorder(2)
-        Engine(2, config=cfg, tracer=tracer_a).run([_ping_pong] * 2)
-        Engine(
-            2, use_batched_p2p=False, use_kernels=False, tracer=tracer_b
-        ).run([_ping_pong] * 2)
+        engine = Engine(2, config=cfg, tracer=tracer_a)
+        engine.run([_ping_pong] * 2)
+        assert engine.config is cfg
+        assert not engine.use_batched_p2p and not engine.use_kernels
+        Engine(2, tracer=tracer_b).run([_ping_pong] * 2)
         np.testing.assert_array_equal(
             tracer_a.bytes_matrix, tracer_b.bytes_matrix
         )
 
-    def test_legacy_kwargs_build_the_same_config(self):
-        engine = Engine(2, use_fast_collectives=False, pool_capacity=9)
-        assert engine.config == EngineConfig(
-            use_fast_collectives=False, pool_capacity=9
-        )
+    @pytest.mark.parametrize(
+        "legacy",
+        [
+            "use_fast_collectives",
+            "use_batched_p2p",
+            "use_kernels",
+            "pool_capacity",
+            "schedule_seed",
+            "schedule_trace",
+        ],
+    )
+    def test_legacy_kwargs_rejected(self, legacy):
+        """Every engine knob is set through EngineConfig, never a keyword."""
+        with pytest.raises(TypeError, match=legacy):
+            Engine(2, **{legacy: getattr(EngineConfig(), legacy)})
 
     def test_config_and_legacy_kwargs_conflict(self):
-        with pytest.raises(TypeError, match="legacy keyword"):
+        with pytest.raises(TypeError, match="pool_capacity"):
             Engine(2, config=EngineConfig(), pool_capacity=9)

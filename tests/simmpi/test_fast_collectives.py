@@ -14,6 +14,7 @@ import pytest
 from repro.simmpi import (
     DeadlockError,
     Engine,
+    EngineConfig,
     LinkParameters,
     NetworkModel,
     TraceRecorder,
@@ -60,9 +61,9 @@ def run_pair(program, size, *, failure_ranks=()):
         tracer = TraceRecorder(size, by_kind=True)
         engine = Engine(
             size,
+            config=EngineConfig(use_fast_collectives=fast),
             network=two_level_network(),
             tracer=tracer,
-            use_fast_collectives=fast,
         )
         engine.failure_ranks.update(failure_ranks)
         results = engine.run(program)
@@ -217,7 +218,9 @@ class TestFailureInjection:
 
         for fast in (False, True):
             engine = Engine(
-                size, network=two_level_network(), use_fast_collectives=fast
+                size,
+                config=EngineConfig(use_fast_collectives=fast),
+                network=two_level_network(),
             )
             engine.failure_ranks.add(0)
             with pytest.raises(DeadlockError):
@@ -239,7 +242,9 @@ class TestFailureInjection:
         outcomes = []
         for fast in (False, True):
             engine = Engine(
-                size, network=two_level_network(), use_fast_collectives=fast
+                size,
+                config=EngineConfig(use_fast_collectives=fast),
+                network=two_level_network(),
             )
             engine.failure_ranks.add(1)
             try:
@@ -262,7 +267,10 @@ class TestFailureInjection:
             return got
 
         for fast in (False, True):
-            engine = Engine(size, use_fast_collectives=fast)
+            engine = Engine(
+                size,
+                config=EngineConfig(use_fast_collectives=fast),
+            )
             results = engine.run(program)
             assert results == ["x", "x", "bystander"]
 

@@ -1,8 +1,8 @@
 """Seeded schedule-interleaving exploration: legality, replay, equivalence.
 
-``Engine(schedule_seed=...)`` permutes each scheduler batch among its
-causally-unordered ranks; ``Engine(schedule_trace=...)`` replays a
-recorded permutation stream exactly. This suite pins the contract from
+``EngineConfig(schedule_seed=...)`` permutes each scheduler batch among
+its causally-unordered ranks; ``EngineConfig(schedule_trace=...)``
+replays a recorded permutation stream exactly. This suite pins the contract from
 every side: the default path is byte-for-byte the canonical drain, every
 explored schedule is MPI-legal (wildcard-free programs stay bit-identical
 to canonical; wildcard programs may legally re-arbitrate or deadlock),
@@ -18,6 +18,7 @@ from repro.simmpi import (
     ANY_SOURCE,
     DeadlockError,
     Engine,
+    EngineConfig,
     ScheduleTrace,
 )
 
@@ -46,9 +47,13 @@ def order_probe(order):
     return program
 
 
-def run_probe(size, **engine_kwargs):
+def run_probe(size, **config_kwargs):
     order = []
-    engine = Engine(size, network=two_level_network(), **engine_kwargs)
+    engine = Engine(
+        size,
+        config=EngineConfig(**config_kwargs),
+        network=two_level_network(),
+    )
     results = engine.run(order_probe(order))
     return order, results, engine
 
@@ -261,7 +266,9 @@ def race_program(ctx):
 def find_deadlock_seed(limit=64):
     for seed in range(limit):
         engine = Engine(
-            3, network=two_level_network(), schedule_seed=seed
+            3,
+            config=EngineConfig(schedule_seed=seed),
+            network=two_level_network(),
         )
         try:
             engine.run(race_program)
@@ -285,13 +292,21 @@ class TestWildcardRace:
     def test_deadlock_replays_from_seed_and_trace(self):
         seed, trace, err = find_deadlock_seed()
         # Replay from the seed alone.
-        engine = Engine(3, network=two_level_network(), schedule_seed=seed)
+        engine = Engine(
+            3,
+            config=EngineConfig(schedule_seed=seed),
+            network=two_level_network(),
+        )
         with pytest.raises(DeadlockError) as seed_err:
             engine.run(race_program)
         assert seed_err.value.blocked == err.blocked
         assert engine.schedule_trace == trace
         # Replay from the recorded trace alone (what repro files carry).
-        replay = Engine(3, network=two_level_network(), schedule_trace=trace)
+        replay = Engine(
+            3,
+            config=EngineConfig(schedule_trace=trace),
+            network=two_level_network(),
+        )
         with pytest.raises(DeadlockError) as trace_err:
             replay.run(race_program)
         assert trace_err.value.blocked == err.blocked
@@ -330,7 +345,11 @@ class TestWildcardStampArbitration:
         stamp in the unexpected pool; the wildcard must take it even
         though rank 1 is the lower-numbered sender channel."""
         trace = ScheduleTrace(((0, (3, 2, 1, 0)),))
-        engine = Engine(4, network=two_level_network(), schedule_trace=trace)
+        engine = Engine(
+            4,
+            config=EngineConfig(schedule_trace=trace),
+            network=two_level_network(),
+        )
         results = engine.run(self._stamp_program)
         assert results[0] == ("gate", 2, "from2", "from1")
         assert engine.schedule_trace.entries == trace.entries

@@ -18,6 +18,7 @@ from repro.simmpi import (
     ANY_TAG,
     DeadlockError,
     Engine,
+    EngineConfig,
     run_program,
 )
 
@@ -142,7 +143,7 @@ def test_starvable_plans_deadlock_cleanly_and_replay(schedule, seed):
             (src, tag) for src, tag, _ in box[half:]
         ]
     program = _make_program(outgoing, plans)
-    engine = Engine(NRANKS, schedule_seed=seed)
+    engine = Engine(NRANKS, config=EngineConfig(schedule_seed=seed))
     try:
         results = engine.run(program)
     except DeadlockError as err:
@@ -154,7 +155,7 @@ def test_starvable_plans_deadlock_cleanly_and_replay(schedule, seed):
             )
         trace = engine.schedule_trace
         assert trace is not None
-        replay = Engine(NRANKS, schedule_trace=trace)
+        replay = Engine(NRANKS, config=EngineConfig(schedule_trace=trace))
         try:
             replay.run(program)
             raise AssertionError("trace replay did not reproduce the deadlock")

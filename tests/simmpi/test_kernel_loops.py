@@ -14,7 +14,13 @@ via ``Engine.kernel_deopts``.
 import numpy as np
 import pytest
 
-from repro.simmpi import ANY_SOURCE, Engine, KernelLoop, TraceRecorder
+from repro.simmpi import (
+    ANY_SOURCE,
+    Engine,
+    EngineConfig,
+    KernelLoop,
+    TraceRecorder,
+)
 from repro.simmpi.collectives import max_op, sum_op
 from repro.simmpi.errors import MatchingError
 
@@ -58,10 +64,13 @@ def interpreted_ring_program(iterations):
     return program
 
 
-def run_engine(program, size, **engine_kwargs):
+def run_engine(program, size, **config_kwargs):
     tracer = TraceRecorder(size, by_kind=True)
     engine = Engine(
-        size, network=two_level_network(), tracer=tracer, **engine_kwargs
+        size,
+        config=EngineConfig(**config_kwargs),
+        network=two_level_network(),
+        tracer=tracer,
     )
     results = engine.run(program)
     return {
@@ -223,9 +232,9 @@ class TestKernelDeopts:
             tracer = TraceRecorder(4, by_kind=True)
             engine = Engine(
                 4,
+                config=EngineConfig(use_kernels=use_kernels),
                 network=two_level_network(),
                 tracer=tracer,
-                use_kernels=use_kernels,
             )
             engine.message_log = Log()
             results = engine.run(kernel_ring_program(iterations))

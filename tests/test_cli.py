@@ -14,6 +14,41 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["figZ"])
 
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("sim --shards 0", "--shards"),
+            ("sim --workers -1 --shards 2", "--workers"),
+            ("sim --iterations -3", "--iterations"),
+            ("sim --nodes 0", "--nodes"),
+            ("sim --app-per-node 0", "--app-per-node"),
+            ("sim --checkpoint-every 0", "--checkpoint-every"),
+            ("sim --px 0", "--px"),
+            ("sim --py -1", "--py"),
+            ("sim --nranks 0", "--nranks"),
+            ("serve --workers -1", "--workers"),
+            ("serve --cache-mb 0", "--cache-mb"),
+            ("serve --cache-mb -5", "--cache-mb"),
+            ("fuzz --workers -2", "--workers"),
+            ("fuzz --schedules -1", "--schedules"),
+            ("fuzz --budget 0", "--budget"),
+            ("fuzz --shrink -1", "--shrink"),
+            ("fuzz --seed-start -5", "--seed-start"),
+            ("montecarlo --samples 0", "--samples"),
+            ("fig3 --sizes 8 0", "--sizes"),
+            ("fig4a --sizes 0", "--sizes"),
+            ("fig4bc --sizes -4", "--sizes"),
+            ("fig5 --nodes 0", "--nodes"),
+            ("fig5 --max-size 0", "--max-size"),
+            ("fig5 --iterations -1", "--iterations"),
+        ],
+    )
+    def test_bad_count_exits_2_naming_flag(self, command, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(command.split())
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be >=" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_table1(self, capsys):
