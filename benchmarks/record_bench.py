@@ -1238,7 +1238,6 @@ def _smoke_fuzzer() -> None:
 
 def time_service(
     *,
-    workers: int = 0,
     n_samples: int = 2000,
     concurrency: int = 8,
     repeat: int = 3,
@@ -1263,7 +1262,7 @@ def time_service(
 
     mix = default_query_mix(n_samples=n_samples)
     stream = sweep_query()
-    with ServiceThread(workers=workers) as running:
+    with ServiceThread() as running:
         client = ServiceClient(running.host, running.port)
         checks = verify_equivalence(client, mix, stream=stream)
         report = run_load(
@@ -1277,24 +1276,19 @@ def time_service(
             raise RuntimeError(
                 f"{report.errors} queries failed under load — not recording"
             )
-        stats = client.stats()
     return {
         "equivalence_checks": checks,
         "mix_size": len(mix),
         "n_samples": n_samples,
         **report.to_dict(),
-        "dispatcher_batches": stats["dispatcher"]["batches"],
-        "largest_batch": stats["dispatcher"]["largest_batch"],
     }
 
 
 def _smoke_service() -> None:
-    """The service self-test (equivalence + load + stream) at smoke scale,
-    in-process and against a two-worker shard pool."""
+    """The service self-test (equivalence + load + stream) at smoke scale."""
     from repro.service.loadgen import run_self_test
 
-    run_self_test(workers=0, verbose=False)
-    run_self_test(workers=2, verbose=False)
+    run_self_test(verbose=False)
 
 
 def _append(path: Path, record: dict) -> None:
@@ -1501,7 +1495,7 @@ def run_smoke() -> None:
     t_service = time.perf_counter()
     _smoke_service()
     print(
-        f"smoke service: self-test equivalent at workers=0 and workers=2 "
+        f"smoke service: self-test equivalent "
         f"({time.perf_counter() - t_service:.1f}s)"
     )
     print(f"smoke ok in {time.perf_counter() - t_start:.1f}s")
@@ -1541,13 +1535,6 @@ def main() -> None:
         "--skip-service",
         action="store_true",
         help="skip the reliability-service load benchmark",
-    )
-    parser.add_argument(
-        "--service-workers",
-        type=int,
-        default=0,
-        help="worker processes of the recorded service run (0 = in-process; "
-        "single-core record hosts should keep 0)",
     )
     parser.add_argument(
         "--fuzz-budget",
@@ -1785,7 +1772,7 @@ def main() -> None:
         print(f"recorded -> {fuzzer_artifact}")
 
     if not args.skip_service:
-        service = time_service(workers=args.service_workers)
+        service = time_service()
         service_record = {**stamp, "service": service}
         fresh[SERVICE_ARTIFACT.name] = service_record
         service_artifact = out_root / SERVICE_ARTIFACT.name
@@ -1795,9 +1782,7 @@ def main() -> None:
             f"then {service['queries']} queries at "
             f"{service['queries_per_s']}/s (p50 {service['p50_ms']}ms, "
             f"p99 {service['p99_ms']}ms, hit rate "
-            f"{100 * service['cache_hit_rate']:.0f}%, "
-            f"{service['coalesced']} coalesced into "
-            f"{service['scoring_passes']} passes)"
+            f"{100 * service['cache_hit_rate']:.0f}%)"
         )
         print(f"recorded -> {service_artifact}")
 

@@ -16,16 +16,18 @@ import argparse
 import sys
 
 
-def _int_at_least(minimum: int):
-    """argparse ``type=`` for an integer flag bounded below by ``minimum``,
-    so a bad count exits 2 with an error naming the flag."""
+def _int_at_least(minimum: int, maximum: int | None = None):
+    """argparse ``type=`` for an integer flag bounded below by ``minimum``
+    (and above by ``maximum``, when given), so a bad value exits 2 with an
+    error naming the flag."""
+    bound = f">= {minimum}"
+    if maximum is not None:
+        bound += f" and <= {maximum}"
 
     def parse(text: str) -> int:
         value = int(text)
-        if value < minimum:
-            raise argparse.ArgumentTypeError(
-                f"must be >= {minimum}, got {value}"
-            )
+        if value < minimum or (maximum is not None and value > maximum):
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
         return value
 
     parse.__name__ = "int"  # argparse's "invalid int value" wording
@@ -34,6 +36,7 @@ def _int_at_least(minimum: int):
 
 _COUNT = _int_at_least(1)
 _NON_NEGATIVE = _int_at_least(0)
+_PORT = _int_at_least(0, maximum=65535)
 
 
 def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
@@ -186,7 +189,7 @@ def cmd_serve(args) -> int:
     from repro.service import ReliabilityService, run_self_test
 
     if args.self_test:
-        return run_self_test(workers=args.workers)
+        return run_self_test()
 
     import asyncio
 
@@ -194,13 +197,12 @@ def cmd_serve(args) -> int:
         service = ReliabilityService(
             host=args.host,
             port=args.port,
-            workers=args.workers,
             cache_bytes=args.cache_mb << 20,
         )
         await service.start()
         print(
             f"reliability service on http://{service.host}:{service.port} "
-            f"({args.workers} worker(s), {args.cache_mb} MiB cache/shard)"
+            f"({args.cache_mb} MiB table cache)"
         )
         print("POST ReliabilityQuery JSON to /query (Ctrl-C to stop)")
         try:
@@ -498,17 +500,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument(
-        "--port", type=int, default=8642,
+        "--port", type=_PORT, default=8642,
         help="listen port (0 picks a free one; default 8642)",
     )
     p.add_argument(
-        "--workers", type=_NON_NEGATIVE, default=0,
-        help="worker processes holding table-cache shards (0 = answer "
-        "in-process; results are invariant to this knob)",
-    )
-    p.add_argument(
         "--cache-mb", type=_COUNT, default=256,
-        help="table-cache byte budget per shard in MiB (default 256)",
+        help="byte budget of the whole table cache in MiB (default 256)",
     )
     p.add_argument(
         "--self-test", action="store_true",

@@ -30,7 +30,6 @@ from repro.core.query import (
     query_for,
     resolve_query,
     run_query,
-    run_query_batch,
 )
 from repro.core.tables import (
     CatastrophicTables,
@@ -86,6 +85,5 @@ __all__ = [
     "resolve_query",
     "restart_tables",
     "run_query",
-    "run_query_batch",
     "validate_against_analytic",
 ]

@@ -14,13 +14,10 @@ Queries are cheap value objects; the heavy per-(clustering, placement)
 lookup tables they need are resolved once into a :class:`QueryTables`
 bundle and memoized — in-process behind :func:`resolve_query`, and with
 an explicit byte budget behind the service's
-:class:`repro.service.cache.TableCache`. Monte-Carlo queries that share
-a table bundle are *coalesced*: :func:`run_query_batch` concatenates
-their sampled event batches and scores them in one vectorized pass.
-Scoring is element-wise array indexing (:mod:`repro.core.tables`), so
-the coalesced pass is bit-identical to scoring each query alone — the
-property the service's micro-batching dispatcher and its equivalence
-tests rely on.
+:class:`repro.service.cache.TableCache`. :func:`run_query` takes the
+bundle from either: the answer depends only on the query (each query
+draws from its own seed), never on which cache served its tables —
+the property the service's served == ``run_query`` checks rely on.
 """
 
 from __future__ import annotations
@@ -362,14 +359,12 @@ class ReliabilityQuery:
                         f"got {x!r}"
                     )
 
-    # -- cache / batch identity ------------------------------------------
+    # -- cache identity ----------------------------------------------------
 
     def table_key(self) -> str:
-        """Canonical identity of the lookup-table bundle this query needs.
-
-        Stable across processes (no salted ``hash()``) — the service
-        routes queries to cache shards by hashing this string.
-        """
+        """Canonical identity of the lookup-table bundle this query needs
+        (the key of :func:`resolve_query`'s memo and of the service's
+        table cache)."""
         tax = self.taxonomy
         return "|".join(
             (
@@ -380,14 +375,6 @@ class ReliabilityQuery:
                 f"{tax.escalation!r},{tax.max_simultaneous}",
             )
         )
-
-    def batch_key(self) -> str | None:
-        """Coalescing identity: queries with equal keys may be scored in
-        one vectorized pass. Only Monte-Carlo queries coalesce (their
-        per-event scoring is element-wise); ``None`` means "run alone"."""
-        if self.metric != "montecarlo":
-            return None
-        return self.table_key()
 
     # -- wire format -------------------------------------------------------
 
@@ -661,45 +648,26 @@ def resolve_query(query: ReliabilityQuery) -> QueryTables:
 # ---------------------------------------------------------------------------
 
 
-def _montecarlo_parts(query: ReliabilityQuery, tables: QueryTables):
-    """Draw the query's event batch (its own seeded generator — coalescing
-    must not perturb any query's stream)."""
-    gen = resolve_rng(query.seed)
-    sampler = MonteCarloEstimator(tables.model, rng=gen)
-    return sampler.sample_events(query.n_samples)
-
-
-def _montecarlo_result(
-    query: ReliabilityQuery,
-    tables: QueryTables,
-    restart_fractions: np.ndarray,
-    catastrophic: int,
-    soft: int,
+def _run_montecarlo(
+    query: ReliabilityQuery, tables: QueryTables
 ) -> QueryResult:
-    n = restart_fractions.size
+    sampler = MonteCarloEstimator(tables.model, rng=resolve_rng(query.seed))
+    batch = sampler.sample_events(query.n_samples)
+    fractions = tables.restart.batch_restart_fractions(batch)
+    catastrophic = int(
+        tables.model.events_are_catastrophic(tables.clustering, batch).sum()
+    )
+    n = fractions.size
     return QueryResult(
         metric="montecarlo",
         clustering=tables.clustering.name,
         values=(
             ("n_samples", float(n)),
-            ("restart_fraction_mean", float(restart_fractions.mean())),
-            ("restart_fraction_p95", float(np.quantile(restart_fractions, 0.95))),
+            ("restart_fraction_mean", float(fractions.mean())),
+            ("restart_fraction_p95", float(np.quantile(fractions, 0.95))),
             ("catastrophic_rate", catastrophic / n),
-            ("soft_error_share", soft / n),
+            ("soft_error_share", int(batch.is_soft.sum()) / n),
         ),
-    )
-
-
-def _run_montecarlo(
-    query: ReliabilityQuery, tables: QueryTables
-) -> QueryResult:
-    batch = _montecarlo_parts(query, tables)
-    fractions = tables.restart.batch_restart_fractions(batch)
-    catastrophic = int(
-        tables.model.events_are_catastrophic(tables.clustering, batch).sum()
-    )
-    return _montecarlo_result(
-        query, tables, fractions, catastrophic, int(batch.is_soft.sum())
     )
 
 
@@ -865,110 +833,6 @@ def assemble_streamed(
         clustering=parts[0].clustering,
         values=values,
         curve=curve,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Batched execution with Monte-Carlo coalescing
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BatchStats:
-    """What one :func:`run_query_batch` call did."""
-
-    queries: int = 0
-    scoring_passes: int = 0
-    coalesced: int = 0  # queries that shared a vectorized pass with others
-
-
-def _concat_batches(batches):
-    from repro.failures.events import EventBatch
-
-    return EventBatch(
-        is_soft=np.concatenate([b.is_soft for b in batches]),
-        process=np.concatenate([b.process for b in batches]),
-        run_start=np.concatenate([b.run_start for b in batches]),
-        run_length=np.concatenate([b.run_length for b in batches]),
-    )
-
-
-def _run_coalesced(queries, tables: QueryTables) -> list[QueryResult]:
-    """Score several same-table Monte-Carlo queries in one vectorized
-    pass. Each query draws its own event batch from its own seed; the
-    concatenated scoring is element-wise, so splitting the outputs back
-    per query is bit-identical to running each alone."""
-    batches = [_montecarlo_parts(q, tables) for q in queries]
-    merged = _concat_batches(batches)
-    fractions = tables.restart.batch_restart_fractions(merged)
-    catastrophic = tables.model.events_are_catastrophic(
-        tables.clustering, merged
-    )
-    results = []
-    offset = 0
-    for query, batch in zip(queries, batches):
-        n = batch.n
-        view = slice(offset, offset + n)
-        results.append(
-            _montecarlo_result(
-                query,
-                tables,
-                fractions[view],
-                int(catastrophic[view].sum()),
-                int(batch.is_soft.sum()),
-            )
-        )
-        offset += n
-    return results
-
-
-def run_query_batch(
-    queries,
-    *,
-    resolver=None,
-    return_exceptions: bool = False,
-) -> tuple[list, BatchStats]:
-    """Answer many queries, coalescing Monte-Carlo queries that share a
-    table bundle into one scoring pass each.
-
-    Returns ``(results, stats)`` with results in input order. With
-    ``return_exceptions`` a failing query yields its exception object in
-    place of a result (the service maps these to per-request errors);
-    otherwise the first failure raises.
-    """
-    resolver = resolver or resolve_query
-    queries = list(queries)
-    results: list = [None] * len(queries)
-    groups: dict[str, list[int]] = {}
-    passes = 0
-    coalesced = 0
-    for i, query in enumerate(queries):
-        key = query.batch_key()
-        if key is None:
-            passes += 1
-            try:
-                results[i] = run_query(query, tables=resolver(query))
-            except Exception as err:  # noqa: BLE001 — per-query isolation
-                if not return_exceptions:
-                    raise
-                results[i] = err
-        else:
-            groups.setdefault(key, []).append(i)
-    for indices in groups.values():
-        group = [queries[i] for i in indices]
-        passes += 1
-        if len(group) > 1:
-            coalesced += len(group)
-        try:
-            group_results = _run_coalesced(group, resolver(group[0]))
-        except Exception as err:  # noqa: BLE001 — per-query isolation
-            if not return_exceptions:
-                raise
-            group_results = [err] * len(group)
-        for i, result in zip(indices, group_results):
-            results[i] = result
-    return results, BatchStats(
-        queries=len(queries), scoring_passes=passes, coalesced=coalesced
     )
 
 

@@ -7,9 +7,7 @@ new cascade lengths (the per-``f`` run caches fill in), so the budget is
 enforced against a fresh :meth:`~repro.core.query.QueryTables.nbytes`
 measurement on every insertion, not a size recorded at build time.
 
-The service runs one cache per worker process (a shard of the logical
-cache — queries are routed to workers by table key, so shards never
-duplicate a table); ``workers=0`` runs a single in-process instance.
+The service owns one instance and scores every request against it.
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ from threading import Lock
 
 from repro.core.query import QueryTables, ReliabilityQuery, build_tables
 
-#: Default byte budget per cache shard (plenty for dozens of paper-scale
+#: Default byte budget of the whole cache (plenty for dozens of paper-scale
 #: table bundles; a 1024-rank bundle is a few hundred KiB).
 DEFAULT_CACHE_BYTES = 256 << 20
 
@@ -38,11 +36,8 @@ class TableCache:
         self.evictions = 0
 
     def get(self, query: ReliabilityQuery) -> QueryTables:
-        """The table bundle for ``query`` — served from cache or built.
-
-        Usable directly as the ``resolver`` of
-        :func:`repro.core.query.run_query_batch`.
-        """
+        """The table bundle for ``query`` — served from cache or built;
+        pass it on as ``run_query(query, tables=...)``."""
         key = query.table_key()
         with self._lock:
             tables = self._entries.get(key)

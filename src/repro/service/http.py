@@ -6,10 +6,19 @@ the service carries no framework dependency. The wire format *is* the
 query API: request bodies are :meth:`ReliabilityQuery.to_json` payloads,
 responses are :meth:`QueryResult.to_dict` JSON.
 
+Every request is scored inline on the event loop: ``POST /query`` is
+``run_query(query, tables=cache.get(query))`` against the service's one
+:class:`~repro.service.cache.TableCache`, so the server is a single
+Python thread and a served answer is the in-process answer by
+construction. Scoring is Python computation under the interpreter lock,
+so handing it to an executor thread buys no overlap and costs a hop
+per request; the price of inline scoring is that a slow query (a cold
+large-table build) delays every other connection until it returns.
+
 Routes:
 
 * ``GET /healthz`` — liveness;
-* ``GET /stats`` — engine / dispatcher / cache counters;
+* ``GET /stats`` — request and cache counters;
 * ``POST /query`` — one query, one JSON result;
 * ``POST /query/stream`` — survival / waste-curve sweeps answered as a
   chunked (``Transfer-Encoding: chunked``) stream of JSON lines: one
@@ -30,10 +39,9 @@ from repro.core.query import (
     ReliabilityQuery,
     STREAMABLE_METRICS,
     assemble_streamed,
+    run_query,
 )
-from repro.service.cache import DEFAULT_CACHE_BYTES
-from repro.service.dispatch import DEFAULT_MAX_BATCH, Dispatcher
-from repro.service.engine import QueryEngine, QueryError
+from repro.service.cache import DEFAULT_CACHE_BYTES, TableCache
 
 #: Sweep points scored per streamed chunk.
 DEFAULT_STREAM_CHUNK = 4
@@ -58,40 +66,30 @@ def _chunk(payload: dict) -> bytes:
 
 
 class ReliabilityService:
-    """The long-running service: engine + dispatcher + HTTP server."""
+    """The long-running service: one table cache behind an HTTP server."""
 
     def __init__(
         self,
         *,
         host: str = "127.0.0.1",
         port: int = 0,
-        workers: int = 0,
         cache_bytes: int = DEFAULT_CACHE_BYTES,
-        max_batch: int = DEFAULT_MAX_BATCH,
         stream_chunk: int = DEFAULT_STREAM_CHUNK,
     ):
         if stream_chunk < 1:
             raise ValueError(f"stream_chunk must be >= 1, got {stream_chunk}")
         self.host = host
         self.port = port
-        self.workers = workers
-        self.cache_bytes = cache_bytes
-        self.max_batch = max_batch
         self.stream_chunk = stream_chunk
-        self.engine: QueryEngine | None = None
-        self.dispatcher: Dispatcher | None = None
+        self.cache = TableCache(max_bytes=cache_bytes)
         self._server: asyncio.AbstractServer | None = None
         self.requests = 0
         self.streamed = 0
+        self.queries = 0
 
     # -- lifecycle --------------------------------------------------------
 
     async def start(self) -> None:
-        self.engine = QueryEngine(
-            workers=self.workers, cache_bytes=self.cache_bytes
-        )
-        self.dispatcher = Dispatcher(self.engine, max_batch=self.max_batch)
-        await self.dispatcher.start()
         self._server = await asyncio.start_server(
             self._handle, self.host, self.port
         )
@@ -102,23 +100,24 @@ class ReliabilityService:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        if self.dispatcher is not None:
-            await self.dispatcher.stop()
-            self.dispatcher = None
-        if self.engine is not None:
-            self.engine.close()
-            self.engine = None
 
     async def serve_forever(self) -> None:
         await self._server.serve_forever()
 
     def stats(self) -> dict:
+        cache = self.cache.stats()
+        lookups = cache["hits"] + cache["misses"]
         return {
             "requests": self.requests,
             "streamed": self.streamed,
-            "dispatcher": self.dispatcher.stats() if self.dispatcher else {},
-            **(self.engine.stats() if self.engine else {}),
+            "queries": self.queries,
+            "cache": cache,
+            "cache_hit_rate": cache["hits"] / lookups if lookups else 0.0,
         }
+
+    def _score(self, query: ReliabilityQuery):
+        self.queries += 1
+        return run_query(query, tables=self.cache.get(query))
 
     # -- request handling -------------------------------------------------
 
@@ -154,12 +153,19 @@ class ReliabilityService:
                 break
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
-        if length > _MAX_BODY:
+        raw_length = headers.get("content-length", "0")
+        if not (raw_length.isascii() and raw_length.isdigit()):
+            error = f"Content-Length must be a byte count, got {raw_length!r}"
+            writer.write(_response(400, "Bad Request", {"error": error}))
+            return
+        # Count digits before int(), which refuses very long digit strings.
+        digits = raw_length.lstrip("0") or "0"
+        if len(digits) > len(str(_MAX_BODY)) or int(digits) > _MAX_BODY:
             writer.write(
                 _response(413, "Payload Too Large", {"error": "body too large"})
             )
             return
+        length = int(digits)
         body = await reader.readexactly(length) if length else b""
 
         self.requests += 1
@@ -177,18 +183,10 @@ class ReliabilityService:
             )
         await writer.drain()
 
-    def _parse(self, body: bytes) -> ReliabilityQuery:
-        return ReliabilityQuery.from_json(body)
-
     async def _handle_query(self, writer, body: bytes) -> None:
         try:
-            query = self._parse(body)
+            result = self._score(ReliabilityQuery.from_json(body))
         except ValueError as err:
-            writer.write(_response(400, "Bad Request", {"error": str(err)}))
-            return
-        try:
-            result = await self.dispatcher.submit(query)
-        except (ValueError, QueryError) as err:
             writer.write(_response(400, "Bad Request", {"error": str(err)}))
             return
         except Exception as err:  # noqa: BLE001 - surface, don't crash
@@ -200,7 +198,7 @@ class ReliabilityService:
 
     async def _handle_stream(self, writer, body: bytes) -> None:
         try:
-            query = self._parse(body)
+            query = ReliabilityQuery.from_json(body)
             if query.metric not in STREAMABLE_METRICS:
                 raise ValueError(
                     f"metric {query.metric!r} does not stream "
@@ -229,9 +227,7 @@ class ReliabilityService:
         parts = []
         try:
             for piece in chunks:
-                part = await self.dispatcher.submit(
-                    replace(query, sweep=piece)
-                )
+                part = self._score(replace(query, sweep=piece))
                 parts.append(part)
                 writer.write(
                     _chunk({"curve": [[x, y] for x, y in part.curve]})

@@ -34,7 +34,7 @@ def default_query_mix(
     seeds: int = 8,
 ) -> list[ReliabilityQuery]:
     """The benchmark's standing query mix: Monte-Carlo sweeps over the
-    paper's strategies (coalescible by table), campaign questions, and a
+    paper's strategies (several seeds per table), campaign questions, and a
     deterministic survival curve — the traffic a planning dashboard
     would generate."""
     machine = MachineSpec(
@@ -142,37 +142,30 @@ class LoadReport:
     queries: int
     errors: int
     concurrency: int
-    workers: int
     seconds: float
     queries_per_s: float
     p50_ms: float
     p99_ms: float
     cache_hit_rate: float
-    coalesced: int
-    scoring_passes: int
 
     def to_dict(self) -> dict:
         return {
             "queries": self.queries,
             "errors": self.errors,
             "concurrency": self.concurrency,
-            "workers": self.workers,
             "seconds": round(self.seconds, 4),
             "queries_per_s": round(self.queries_per_s, 2),
             "p50_ms": round(self.p50_ms, 3),
             "p99_ms": round(self.p99_ms, 3),
             "cache_hit_rate": round(self.cache_hit_rate, 4),
-            "coalesced": self.coalesced,
-            "scoring_passes": self.scoring_passes,
         }
 
     def summary(self) -> str:
         return (
             f"{self.queries_per_s:,.0f} queries/s over {self.queries} "
-            f"queries ({self.concurrency} clients, {self.workers} workers): "
+            f"queries ({self.concurrency} clients): "
             f"p50 {self.p50_ms:.1f} ms, p99 {self.p99_ms:.1f} ms, "
-            f"cache hit rate {100 * self.cache_hit_rate:.0f}%, "
-            f"{self.coalesced} coalesced into {self.scoring_passes} passes"
+            f"cache hit rate {100 * self.cache_hit_rate:.0f}%"
         )
 
 
@@ -189,7 +182,7 @@ def run_load(
     Each thread owns a client and walks its round-robin slice of the
     (repeated) query list, timing every request wall-clock. Rates come
     from one shared wall-clock window; percentiles from the per-request
-    samples; cache/coalescing counters from the server's ``/stats``.
+    samples; cache counters from the server's ``/stats``.
     """
     work = [query for _ in range(repeat) for query in queries]
     slices: list[list[ReliabilityQuery]] = [[] for _ in range(concurrency)]
@@ -230,28 +223,25 @@ def run_load(
         queries=n,
         errors=errors,
         concurrency=concurrency,
-        workers=after["workers"],
         seconds=elapsed,
         queries_per_s=n / elapsed,
         p50_ms=1e3 * p50,
         p99_ms=1e3 * p99,
         cache_hit_rate=hits / (hits + misses) if hits + misses else 0.0,
-        coalesced=after["coalesced"] - before["coalesced"],
-        scoring_passes=after["scoring_passes"] - before["scoring_passes"],
     )
 
 
-def run_self_test(*, workers: int = 0, verbose: bool = True) -> int:
+def run_self_test(*, verbose: bool = True) -> int:
     """Start a server, drive it, assert equivalence, shut down cleanly.
 
     The CI service smoke (`python -m repro serve --self-test`): a handful
     of queries across every metric, one streamed sweep, bit-equality
-    (service == run_query), and a short concurrent burst to confirm
-    batching/caching engage. Returns 0 on success.
+    (service == run_query), and a short concurrent burst that must
+    answer every query. Returns 0 on success.
     """
     mix = default_query_mix(n_samples=500, seeds=2)
     stream = sweep_query(points=6)
-    with ServiceThread(workers=workers) as running:
+    with ServiceThread() as running:
         client = ServiceClient(running.host, running.port)
         assert client.healthz().get("ok") is True
         checks = verify_equivalence(client, mix, stream=stream)
@@ -260,15 +250,7 @@ def run_self_test(*, workers: int = 0, verbose: bool = True) -> int:
         )
         if report.errors:
             raise AssertionError(f"{report.errors} queries failed under load")
-        stats = client.stats()
         if verbose:
-            print(
-                f"self-test ok: {checks} equivalence checks "
-                f"(workers={workers})"
-            )
+            print(f"self-test ok: {checks} equivalence checks")
             print(f"load: {report.summary()}")
-            print(
-                f"dispatcher: {stats['dispatcher']['batches']} batches, "
-                f"largest {stats['dispatcher']['largest_batch']}"
-            )
     return 0

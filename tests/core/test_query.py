@@ -17,7 +17,6 @@ from repro.clustering import (
 )
 from repro.core import paper_scenario
 from repro.core.query import (
-    BatchStats,
     ClusteringSpec,
     MachineSpec,
     QueryResult,
@@ -28,7 +27,6 @@ from repro.core.query import (
     query_for,
     resolve_query,
     run_query,
-    run_query_batch,
 )
 from repro.failures.catastrophic import rs_half_tolerance, xor_tolerance
 from repro.models import CampaignConfig, CampaignSimulator
@@ -190,37 +188,6 @@ class TestExactEquivalence:
 
     def test_deterministic(self):
         assert run_query(small_query()) == run_query(small_query())
-
-
-class TestCoalescing:
-    def test_batch_matches_individual(self):
-        queries = [small_query(seed=s) for s in range(4)] + [
-            small_query(
-                clustering=ClusteringSpec(strategy="naive", cluster_size=2),
-                seed=9,
-            )
-        ]
-        individual = [run_query(q) for q in queries]
-        batched, stats = run_query_batch(queries)
-        assert batched == individual
-        assert stats == BatchStats(queries=5, scoring_passes=2, coalesced=4)
-
-    def test_batch_reports_per_query_errors(self):
-        good = small_query()
-        bad = small_query(
-            clustering=ClusteringSpec(strategy="labels", l1=(0, 1))
-        )
-        results, _ = run_query_batch([bad, good], return_exceptions=True)
-        assert isinstance(results[0], ValueError)
-        assert results[1] == run_query(good)
-
-    def test_non_mc_metrics_do_not_coalesce(self):
-        queries = [
-            small_query(metric="expected_waste", n_campaigns=1, seed=s)
-            for s in range(2)
-        ]
-        _, stats = run_query_batch(queries)
-        assert stats.coalesced == 0
 
 
 class TestStreaming:

@@ -1,11 +1,12 @@
-"""Service-layer tests: cache budget, batching, streaming, invariance.
+"""Service-layer tests: cache budget, HTTP hardening, streaming, equivalence.
 
 Small generic shapes keep table builds cheap; every equivalence assert
 is exact (``==``) because the service's contract is bit-equality with
 in-process :func:`repro.core.query.run_query`.
 """
 
-import asyncio
+import json
+import socket
 import threading
 
 import pytest
@@ -17,8 +18,6 @@ from repro.core.query import (
     run_query,
 )
 from repro.service import (
-    Dispatcher,
-    QueryEngine,
     ServiceClient,
     ServiceError,
     ServiceThread,
@@ -83,110 +82,31 @@ class TestTableCache:
         tight = TableCache(max_bytes=1)
         roomy = TableCache(max_bytes=1 << 30)
         queries = [query(cluster_size=s, seed=s) for s in (2, 4, 2, 8, 4)]
-        from repro.core.query import run_query_batch
-
-        got_tight, _ = run_query_batch(queries, resolver=tight.get)
-        got_roomy, _ = run_query_batch(queries, resolver=roomy.get)
+        got_tight = [run_query(q, tables=tight.get(q)) for q in queries]
+        got_roomy = [run_query(q, tables=roomy.get(q)) for q in queries]
         assert got_tight == got_roomy == [run_query(q) for q in queries]
 
 
-class TestQueryEngine:
-    def test_in_process_matches_run_query(self):
-        with QueryEngine() as engine:
-            queries = [query(seed=s) for s in range(3)]
-            assert engine.execute(queries) == [run_query(q) for q in queries]
-
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_worker_pool_invariance(self, workers):
-        """workers=0/1/4 must answer bit-identically."""
-        queries = [
-            query(seed=1),
-            query(cluster_size=2, seed=2),
-            query(strategy="size-guided", seed=3),
-            query(metric="expected_waste", n_samples=100, n_campaigns=1),
-            query(metric="survival"),
-        ]
-        expected = [run_query(q) for q in queries]
-        with QueryEngine(workers=workers) as engine:
-            assert engine.execute(queries) == expected
-            assert engine.stats()["workers"] == workers
-
-    def test_coalescing_counted(self):
-        with QueryEngine() as engine:
-            engine.execute([query(seed=s) for s in range(4)])
-            stats = engine.stats()
-            assert stats["queries"] == 4
-            assert stats["scoring_passes"] == 1
-            assert stats["coalesced"] == 4
-
-    def test_worker_errors_surface_per_query(self):
-        bad = ReliabilityQuery(
-            metric="montecarlo",
-            machine=MACHINE,
-            clustering=ClusteringSpec(strategy="labels", l1=(0, 1)),
-            n_samples=10,
-        )
-        with QueryEngine(workers=1) as engine:
-            results = engine.execute(
-                [bad, query()], return_exceptions=True
-            )
-            assert isinstance(results[0], Exception)
-            assert results[1] == run_query(query())
-            with pytest.raises(Exception, match="16"):
-                engine.execute([bad])
-
-    def test_closed_engine_rejects_work(self):
-        engine = QueryEngine()
-        engine.close()
-        with pytest.raises(RuntimeError, match="closed"):
-            engine.execute([query()])
+def bad_labels_query():
+    """Valid on the wire, but its 2 labels cannot cover the 16 ranks: the
+    error surfaces when the service builds the query's tables."""
+    return ReliabilityQuery(
+        metric="montecarlo",
+        machine=MACHINE,
+        clustering=ClusteringSpec(strategy="labels", l1=(0, 1)),
+        n_samples=10,
+    )
 
 
-class TestDispatcher:
-    def test_concurrent_submits_share_a_batch(self):
-        """N queries submitted in one loop tick ride one engine batch and
-        one coalesced scoring pass."""
-
-        async def scenario():
-            engine = QueryEngine()
-            dispatcher = Dispatcher(engine)
-            await dispatcher.start()
-            try:
-                results = await asyncio.gather(
-                    *(dispatcher.submit(query(seed=s)) for s in range(6))
-                )
-            finally:
-                await dispatcher.stop()
-                engine.close()
-            return results, dispatcher.stats(), engine.stats()
-
-        results, dstats, estats = asyncio.run(scenario())
-        assert results == [run_query(query(seed=s)) for s in range(6)]
-        assert dstats["batches"] == 1
-        assert dstats["largest_batch"] == 6
-        assert estats["scoring_passes"] == 1
-        assert estats["coalesced"] == 6
-
-    def test_submit_propagates_query_errors(self):
-        async def scenario():
-            engine = QueryEngine()
-            dispatcher = Dispatcher(engine)
-            await dispatcher.start()
-            try:
-                bad = ReliabilityQuery(
-                    metric="montecarlo",
-                    machine=MACHINE,
-                    clustering=ClusteringSpec(strategy="labels", l1=(0,)),
-                    n_samples=10,
-                )
-                with pytest.raises(ValueError):
-                    await dispatcher.submit(bad)
-                return await dispatcher.submit(query())
-            finally:
-                await dispatcher.stop()
-                engine.close()
-
-        assert asyncio.run(scenario()) == run_query(query())
+def raw_exchange(host, port, request: bytes) -> tuple[int, dict]:
+    """Send raw request bytes; return the status and the JSON body."""
+    with socket.create_connection((host, port), timeout=10) as sock:
+        sock.sendall(request)
+        reply = b""
+        while chunk := sock.recv(65536):
+            reply += chunk
+    head, _, body = reply.partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(body)
 
 
 @pytest.fixture(scope="module")
@@ -229,15 +149,40 @@ class TestHttpService:
             conn.close()
 
     def test_bad_query_raises_service_error(self, client):
-        q = ReliabilityQuery(
-            metric="montecarlo",
-            machine=MACHINE,
-            clustering=ClusteringSpec(strategy="labels", l1=(0, 1)),
-            n_samples=10,
-        )
         with pytest.raises(ServiceError) as err:
-            client.query(q)
+            client.query(bad_labels_query())
         assert err.value.status == 400
+
+    def test_bad_query_does_not_affect_the_next(self, client):
+        """A query that fails while scoring is answered 400 on its own;
+        the next query on the same server is still exact."""
+        with pytest.raises(ServiceError) as err:
+            client.query(bad_labels_query())
+        assert err.value.status == 400
+        assert "16" in str(err.value)
+        good = query(seed=11)
+        assert client.query(good) == run_query(good)
+
+    @pytest.mark.parametrize("length", ["abc", "1e3", "-5", "+5", "0x10", ""])
+    def test_malformed_content_length_is_400(self, client, length):
+        request = f"POST /query HTTP/1.1\r\nContent-Length: {length}\r\n\r\n"
+        status, payload = raw_exchange(client.host, client.port, request.encode())
+        assert status == 400
+        assert "Content-Length" in payload["error"]
+        control = query(seed=6)
+        assert client.query(control) == run_query(control)
+
+    @pytest.mark.parametrize(
+        "length", ["16777217", pytest.param("9" * 5000, id="5000-digits")]
+    )
+    def test_oversized_content_length_is_413(self, client, length):
+        """Past the body cap — even with more digits than int() parses."""
+        request = f"POST /query HTTP/1.1\r\nContent-Length: {length}\r\n\r\n"
+        status, payload = raw_exchange(client.host, client.port, request.encode())
+        assert status == 413
+        assert payload["error"] == "body too large"
+        control = query(seed=6)
+        assert client.query(control) == run_query(control)
 
     def test_unknown_route_is_404(self, client):
         with pytest.raises(ServiceError) as err:
@@ -248,7 +193,10 @@ class TestHttpService:
         client.query(query())
         stats = client.stats()
         assert stats["requests"] > 0
-        assert "cache" in stats and "dispatcher" in stats
+        # The cache counters the benchmark's plan workloads read.
+        for key in ("hits", "misses", "evictions", "bytes"):
+            assert isinstance(stats["cache"][key], int)
+        assert stats["cache"]["hits"] + stats["cache"]["misses"] > 0
 
     def test_stream_non_streamable_metric_is_400(self, client):
         with pytest.raises(ServiceError) as err:
@@ -297,12 +245,11 @@ class TestHttpService:
 
 
 class TestServiceThreadLifecycle:
-    def test_start_stop_and_worker_service(self):
+    def test_start_stop(self):
         q = query(seed=2)
-        with ServiceThread(workers=1) as running:
+        with ServiceThread() as running:
             client = ServiceClient(running.host, running.port)
             assert client.query(q) == run_query(q)
-            assert client.stats()["workers"] == 1
         # Context exit stopped the server: the port no longer answers.
         with pytest.raises(OSError):
             ServiceClient(running.host, running.port, timeout=2).healthz()

@@ -26,7 +26,8 @@ class TestParser:
             ("sim --px 0", "--px"),
             ("sim --py -1", "--py"),
             ("sim --nranks 0", "--nranks"),
-            ("serve --workers -1", "--workers"),
+            ("serve --port 70000", "--port"),
+            ("serve --port -1", "--port"),
             ("serve --cache-mb 0", "--cache-mb"),
             ("serve --cache-mb -5", "--cache-mb"),
             ("fuzz --workers -2", "--workers"),
